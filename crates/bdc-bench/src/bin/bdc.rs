@@ -1,7 +1,7 @@
 //! `bdc` — the experiment-registry CLI.
 //!
 //! One binary over `bdc_core::registry` replaces the 25 per-figure
-//! binaries (which remain as shims):
+//! binaries:
 //!
 //! ```text
 //! bdc list [--json]                  # the catalogue, with node ids

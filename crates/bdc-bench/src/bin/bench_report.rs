@@ -336,7 +336,7 @@ fn main() {
     // (workers) and packs into SoA lanes (batched kernel). Both kernels run
     // cold at one worker so the speedup row isolates the lane win; the
     // scalar row is pinned via the lane override, the batched rows use the
-    // environment's resolution (so BDC_NO_BATCH makes them coincide).
+    // environment's resolution (so BDC_BATCH_LANES=1 makes them coincide).
     // Batched rows come first: the scalar run's per-attempt solver churn
     // leaves the allocator fragmented, which taxes the batched kernel's
     // large SoA buffers by ~25% if it runs second — each row is a cold

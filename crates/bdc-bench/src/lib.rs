@@ -1,18 +1,17 @@
 #![warn(missing_docs)]
 
-//! Shared plumbing for the experiment binaries.
+//! Shared plumbing for the `bdc-bench` binaries.
 //!
 //! The experiments themselves live in `bdc_core::registry`; the `bdc`
 //! binary is the CLI over that catalogue (`bdc list`, `bdc run fig12
-//! --quick`, `bdc run --all`) and the 25 per-figure binaries are legacy
-//! shims over [`run_legacy`]. Pass `--quick` (or set `BDC_QUICK=1`) to
-//! use a reduced simulation budget for smoke runs.
+//! --quick`, `bdc run --all`). Pass `--quick` to use a reduced simulation
+//! budget for smoke runs.
 
 use bdc_core::experiments::SimBudget;
 
 /// True when the invocation asked for the reduced budget.
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("BDC_QUICK").is_some()
+    std::env::args().any(|a| a == "--quick")
 }
 
 /// The simulation budget implied by the command line.
@@ -24,32 +23,12 @@ pub fn budget() -> SimBudget {
     }
 }
 
-/// Prints a standard report header (the experiment binaries render their
-/// headers from registry node metadata instead).
+/// Prints a standard report header (registry nodes render their headers
+/// from node metadata instead).
 pub fn header(id: &str, what: &str) {
     println!("== {id}: {what} ==");
     if quick_mode() {
         println!("   (quick mode: reduced simulation budget)");
-    }
-}
-
-/// Entry point for the legacy per-experiment shims: validate the shared
-/// environment knobs once, render the registry node, print its text
-/// (byte-identical to the pre-registry binary) and exit.
-pub fn run_legacy(id: &str) -> ! {
-    if let Err(e) = bdc_exec::env_config() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    match bdc_core::registry::run_one(id, quick_mode()) {
-        Ok(out) => {
-            print!("{}", out.text);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
     }
 }
 

@@ -1,0 +1,19 @@
+//! The shared environment front door (`bdc_exec::env_config`) as the CLI
+//! sees it: a removed knob that is still set exits with status 2 and a
+//! one-line diagnostic naming its replacement.
+
+use std::process::Command;
+
+#[test]
+fn removed_no_batch_knob_exits_2_pointing_at_batch_lanes() {
+    let out = Command::new(env!("CARGO_BIN_EXE_bdc"))
+        .arg("list")
+        .env("BDC_NO_BATCH", "1")
+        .output()
+        .expect("spawn bdc");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("BDC_BATCH_LANES=1"), "{stderr}");
+}

@@ -1,4 +1,4 @@
-//! Golden-output tests (ISSUE 4 satellite): representative registry
+//! Golden-output tests: representative registry
 //! nodes render byte-identically to the stdout the pre-registry legacy
 //! binaries produced at `--quick` (captured before the refactor and
 //! committed under `tests/golden/`).
@@ -6,8 +6,8 @@
 //! The set spans every node family: a device figure, the model fit, a
 //! cell figure, the V_SS regression, a depth figure, a width figure, a
 //! table, and an extension. Byte equality here, plus the determinism
-//! contract (cold vs warm renders are identical), is what lets the 25
-//! legacy binaries be ~5-line shims over the registry.
+//! contract (cold vs warm renders are identical), is what lets `bdc run
+//! <id>` stand in for the 25 retired per-figure binaries.
 
 use bdc_core::registry::run_one;
 

@@ -26,7 +26,6 @@ fn run_verify(dir: &Path, workers: &str, extra: &[&str]) -> VerifyOutput {
         .args(extra)
         .current_dir(dir)
         .env("BDC_WORKERS", workers)
-        .env_remove("BDC_QUICK")
         .output()
         .expect("spawn bdc");
     assert!(

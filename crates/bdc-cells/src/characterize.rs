@@ -184,7 +184,7 @@ impl GateTiming {
 /// With [`bdc_exec::batch_lanes`] `> 1` the grid points run through the
 /// lockstep SoA kernel ([`BatchTranSolver`]), packing one slew row's loads
 /// per batch; the scalar per-point path remains the reference
-/// implementation (`BDC_BATCH_LANES=1` / `BDC_NO_BATCH`) and both produce
+/// implementation (`BDC_BATCH_LANES=1`) and both produce
 /// bit-identical tables.
 ///
 /// # Errors

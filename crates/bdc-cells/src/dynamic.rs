@@ -297,7 +297,7 @@ mod tests {
         let loads = [60.0e-12, 200.0e-12, 600.0e-12, 2.0e-9];
         let phase = 4.0e-3;
         // Call the pack directly so the test pins the batched kernel even
-        // if the ambient environment (BDC_NO_BATCH) disables batching.
+        // if the ambient environment (BDC_BATCH_LANES=1) disables batching.
         let batched = dynamic_pack(&g, &loads, phase);
         for (&ld, b) in loads.iter().zip(&batched) {
             let s = characterize_dynamic(&g, ld, phase).expect("scalar");

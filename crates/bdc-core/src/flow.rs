@@ -1,10 +1,10 @@
 //! The synthesis/simulation flow: Figure 10 of the paper.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::convert::Infallible;
+use std::sync::Arc;
 
 use bdc_cells::{CellKind, CellLibrary};
-use bdc_exec::{artifact_flight, fnv1a, note_stage, ArtifactCache};
+use bdc_exec::{cached, fnv1a, MemoTable};
 use bdc_synth::blocks;
 use bdc_synth::gate::Netlist;
 use bdc_synth::map::{prefers_decomposition, remap_for_library};
@@ -69,10 +69,6 @@ pub fn pipeline_alu(kit: &TechKit, block: &Netlist, stages: usize) -> PipelineRe
     (*pipeline_cut_memoed(&mapped, mapped_fp, &kit.lib, &kit.sta, &opts)).clone()
 }
 
-/// A lazily-initialized in-process memo table, shared by the memoized
-/// flow stages below.
-type Memo<K, V> = Mutex<Option<BTreeMap<K, V>>>;
-
 /// A memoized netlist paired with its structural fingerprint.
 type FpNet = (Arc<Netlist>, u64);
 
@@ -80,19 +76,13 @@ type FpNet = (Arc<Netlist>, u64);
 /// pure function of its recipe, so each distinct (stage, width, pipes)
 /// combination is generated once per process lifetime. Returns the netlist
 /// and its structural fingerprint.
-fn stage_block(kind: StageKind, fe_width: usize, be_pipes: usize) -> (Arc<Netlist>, u64) {
-    static MEMO: Memo<(u8, usize, usize), FpNet> = Mutex::new(None);
-    let key = (kind as u8, fe_width, be_pipes);
-    let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    let map = guard.get_or_insert_with(BTreeMap::new);
-    if let Some(hit) = map.get(&key) {
-        return hit.clone();
-    }
-    let net = stage_netlist(kind, fe_width, be_pipes);
-    let fp = net.fingerprint();
-    let entry = (Arc::new(net), fp);
-    map.insert(key, entry.clone());
-    entry
+fn stage_block(kind: StageKind, fe_width: usize, be_pipes: usize) -> FpNet {
+    static BLOCKS: MemoTable<(u8, usize, usize), FpNet> = MemoTable::new();
+    BLOCKS.get_or_init((kind as u8, fe_width, be_pipes), || {
+        let net = stage_netlist(kind, fe_width, be_pipes);
+        let fp = net.fingerprint();
+        (Arc::new(net), fp)
+    })
 }
 
 /// In-process memo of a block's library-mapped form. The mapper depends on
@@ -102,21 +92,15 @@ fn stage_block(kind: StageKind, fe_width: usize, be_pipes: usize) -> (Arc<Netlis
 /// decisions — across a parameter sweep the decisions rarely flip, and the
 /// remap is paid once per process lifetime instead of once per call.
 /// Returns the mapped netlist and its structural fingerprint.
-fn mapped_for(block: &Netlist, block_fp: u64, lib: &CellLibrary) -> (Arc<Netlist>, u64) {
-    static MEMO: Memo<(u64, bool, bool), FpNet> = Mutex::new(None);
+fn mapped_for(block: &Netlist, block_fp: u64, lib: &CellLibrary) -> FpNet {
+    static MAPPED: MemoTable<(u64, bool, bool), FpNet> = MemoTable::new();
     let drop_nand3 = prefers_decomposition(lib, CellKind::Nand3);
     let drop_nor3 = prefers_decomposition(lib, CellKind::Nor3);
-    let key = (block_fp, drop_nand3, drop_nor3);
-    let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    let map = guard.get_or_insert_with(BTreeMap::new);
-    if let Some(hit) = map.get(&key) {
-        return hit.clone();
-    }
-    let (mapped, _) = remap_for_library(block, lib);
-    let fp = mapped.fingerprint();
-    let entry = (Arc::new(mapped), fp);
-    map.insert(key, entry.clone());
-    entry
+    MAPPED.get_or_init((block_fp, drop_nand3, drop_nor3), || {
+        let (mapped, _) = remap_for_library(block, lib);
+        let fp = mapped.fingerprint();
+        (Arc::new(mapped), fp)
+    })
 }
 
 /// In-process memo of [`analyze`] over a mapped netlist: STA is a pure
@@ -131,16 +115,9 @@ fn analyze_memoed(
     lib: &CellLibrary,
     sta: &bdc_synth::sta::StaConfig,
 ) -> Arc<bdc_synth::sta::StaReport> {
-    static MEMO: Memo<(u64, u64, u64), Arc<bdc_synth::sta::StaReport>> = Mutex::new(None);
+    static REPORTS: MemoTable<(u64, u64, u64), Arc<bdc_synth::sta::StaReport>> = MemoTable::new();
     let key = (mapped_fp, lib.fingerprint(), fnv1a(&[&format!("{sta:?}")]));
-    let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    let map = guard.get_or_insert_with(BTreeMap::new);
-    if let Some(hit) = map.get(&key) {
-        return hit.clone();
-    }
-    let report = Arc::new(analyze(mapped, lib, sta));
-    map.insert(key, report.clone());
-    report
+    REPORTS.get_or_init(key, || Arc::new(analyze(mapped, lib, sta)))
 }
 
 /// In-process memo of [`pipeline_cut`], the retiming companion to
@@ -154,46 +131,29 @@ fn pipeline_cut_memoed(
     sta: &bdc_synth::sta::StaConfig,
     opts: &PipelineOptions,
 ) -> Arc<PipelineResult> {
-    static MEMO: Memo<(u64, u64, u64), Arc<PipelineResult>> = Mutex::new(None);
+    static CUTS: MemoTable<(u64, u64, u64), Arc<PipelineResult>> = MemoTable::new();
     let key = (
         mapped_fp,
         lib.fingerprint(),
         fnv1a(&[&format!("{sta:?}"), &format!("{opts:?}")]),
     );
-    let mut guard = MEMO.lock().unwrap_or_else(|p| p.into_inner());
-    let map = guard.get_or_insert_with(BTreeMap::new);
-    if let Some(hit) = map.get(&key) {
-        return hit.clone();
-    }
-    let result = Arc::new(pipeline_cut(mapped, lib, sta, opts));
-    map.insert(key, result.clone());
-    result
+    CUTS.get_or_init(key, || Arc::new(pipeline_cut(mapped, lib, sta, opts)))
 }
 
 /// Runs [`lint_gate`] once per distinct (mapped netlist, library content,
 /// policy) triple per process. The lint verdict is a pure function of all
 /// three, so a repeat run could only re-emit the same diagnostics; a
-/// [`LintPolicy::Deny`] violation still panics on first encounter, and any
-/// change to the library or the policy re-runs the pass.
+/// [`LintPolicy::Deny`] violation panics before the triple is memoized,
+/// and any change to the library or the policy re-runs the pass.
 fn lint_gate_once(kit: &TechKit, mapped_fp: u64, mapped: &Netlist) {
     if kit.lint == LintPolicy::Off {
         return;
     }
-    static SEEN: Mutex<Option<BTreeSet<(u64, u64, u8)>>> = Mutex::new(None);
-    let policy = match kit.lint {
-        LintPolicy::Off => 0u8,
-        LintPolicy::Warn => 1,
-        LintPolicy::Deny => 2,
-    };
-    let key = (mapped_fp, kit.lib.fingerprint(), policy);
-    let first = SEEN
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .get_or_insert_with(BTreeSet::new)
-        .insert(key);
-    if first {
+    static LINTED: MemoTable<(u64, u64, u8), ()> = MemoTable::new();
+    let key = (mapped_fp, kit.lib.fingerprint(), kit.lint as u8);
+    LINTED.get_or_init(key, || {
         lint_gate(kit, mapped);
-    }
+    });
 }
 
 /// Per-stage synthesis summary.
@@ -330,8 +290,8 @@ pub fn synthesize_core(kit: &TechKit, spec: &CoreSpec) -> SynthesizedCore {
     }
 }
 
-/// Memoizing wrapper around [`synthesize_core`] through the workspace-wide
-/// content-addressed [`ArtifactCache`]. The key hashes a schema salt, the
+/// Memoizing wrapper around [`synthesize_core`] through [`cached`], the
+/// workspace's one artifact-store path. The key hashes a schema salt, the
 /// process, the characterized library's semantic fingerprint
 /// ([`CellLibrary::fingerprint`] — so recharacterizing with a new grid,
 /// new rails, or a different wire model invalidates every dependent
@@ -342,33 +302,23 @@ pub fn synthesize_core(kit: &TechKit, spec: &CoreSpec) -> SynthesizedCore {
 /// replaced. Concurrent misses on one key are single-flighted: one worker
 /// synthesizes, the rest wait and load.
 pub fn synthesize_core_cached(kit: &TechKit, spec: &CoreSpec) -> SynthesizedCore {
-    let cache = ArtifactCache::shared();
-    let lib_fp = kit.lib.fingerprint();
     let key = fnv1a(&[
         "bdc-synth-v2",
         kit.process.name(),
-        &format!("{lib_fp:016x}"),
+        &format!("{:016x}", kit.lib.fingerprint()),
         &format!("{spec:?}"),
         &format!("{:?}", kit.sta),
         &format!("{:?}", kit.pipe),
     ]);
     let name = format!("synth-{}", kit.process.name());
-    let flight = artifact_flight(cache.root(), &name, key);
-    let _in_flight = flight.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(text) = cache.load(&name, key) {
-        if let Some(core) = parse_synth_text(&text) {
-            note_stage(&name, true);
-            return core;
-        }
-    }
-    note_stage(&name, false);
-    let core = synthesize_core(kit, spec);
-    cache.store(&name, key, &write_synth_text(&core));
+    let Ok(core) = cached(&name, key, parse_synth_text, write_synth_text, || {
+        Ok::<_, Infallible>(synthesize_core(kit, spec))
+    });
     core
 }
 
-/// Memoizing wrapper around [`pipeline_alu`] through the workspace-wide
-/// content-addressed [`ArtifactCache`]. The key hashes a schema salt, the
+/// Memoizing wrapper around [`pipeline_alu`] through [`cached`], the
+/// workspace's one artifact-store path. The key hashes a schema salt, the
 /// process, the library's semantic fingerprint (like
 /// [`synthesize_core_cached`] — recharacterization invalidates every
 /// dependent cut), a structural fingerprint of the input block, the stage
@@ -376,30 +326,19 @@ pub fn synthesize_core_cached(kit: &TechKit, spec: &CoreSpec) -> SynthesizedCore
 /// its bit pattern, so a hit is bit-identical to the cut it replaced.
 /// Concurrent misses on one key are single-flighted.
 pub fn pipeline_alu_cached(kit: &TechKit, block: &Netlist, stages: usize) -> PipelineResult {
-    let cache = ArtifactCache::shared();
-    let lib_fp = kit.lib.fingerprint();
-    let block_fp = block.fingerprint();
     let key = fnv1a(&[
         "bdc-alu-v2",
         kit.process.name(),
-        &format!("{lib_fp:016x}"),
-        &format!("{block_fp:016x}"),
+        &format!("{:016x}", kit.lib.fingerprint()),
+        &format!("{:016x}", block.fingerprint()),
         &stages.to_string(),
         &format!("{:?}", kit.sta),
         &format!("{:?}", kit.pipe),
     ]);
     let name = format!("alu-{}", kit.process.name());
-    let flight = artifact_flight(cache.root(), &name, key);
-    let _in_flight = flight.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(text) = cache.load(&name, key) {
-        if let Some(r) = parse_pipeline_text(&text) {
-            note_stage(&name, true);
-            return r;
-        }
-    }
-    note_stage(&name, false);
-    let r = pipeline_alu(kit, block, stages);
-    cache.store(&name, key, &write_pipeline_text(&r));
+    let Ok(r) = cached(&name, key, parse_pipeline_text, write_pipeline_text, || {
+        Ok::<_, Infallible>(pipeline_alu(kit, block, stages))
+    });
     r
 }
 
@@ -558,8 +497,8 @@ pub fn measure_ipc(spec: &CoreSpec, workload: Workload, outer: u32, instructions
     core.run(instructions)
 }
 
-/// Memoizing wrapper around [`measure_ipc`] through the workspace-wide
-/// content-addressed [`ArtifactCache`]. The key hashes a schema salt, the
+/// Memoizing wrapper around [`measure_ipc`] through [`cached`], the
+/// workspace's one artifact-store path. The key hashes a schema salt, the
 /// [`CoreSpec`] *and* the derived
 /// [`CoreConfig`](bdc_uarch::CoreConfig) (so a change to the
 /// spec→config mapping invalidates old runs), the workload, and the
@@ -573,7 +512,6 @@ pub fn measure_ipc_cached(
     outer: u32,
     instructions: u64,
 ) -> SimStats {
-    let cache = ArtifactCache::shared();
     let key = fnv1a(&[
         "bdc-ipc-v1",
         &format!("{spec:?}"),
@@ -582,17 +520,9 @@ pub fn measure_ipc_cached(
         &outer.to_string(),
         &instructions.to_string(),
     ]);
-    let flight = artifact_flight(cache.root(), "ipc", key);
-    let _in_flight = flight.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(text) = cache.load("ipc", key) {
-        if let Some(stats) = parse_ipc_text(&text) {
-            note_stage("ipc", true);
-            return stats;
-        }
-    }
-    note_stage("ipc", false);
-    let stats = measure_ipc(spec, workload, outer, instructions);
-    cache.store("ipc", key, &write_ipc_text(&stats));
+    let Ok(stats) = cached("ipc", key, parse_ipc_text, write_ipc_text, || {
+        Ok::<_, Infallible>(measure_ipc(spec, workload, outer, instructions))
+    });
     stats
 }
 

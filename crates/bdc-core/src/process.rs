@@ -1,5 +1,6 @@
 //! Process technologies and their characterized kits.
 
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use bdc_cells::{
@@ -7,7 +8,7 @@ use bdc_cells::{
     OrganicSizing, ProcessKind, WireModel,
 };
 use bdc_circuit::CircuitError;
-use bdc_exec::{note_stage, ArtifactCache};
+use bdc_exec::{cached, note_stage, ArtifactCache, MemoTable};
 use bdc_synth::pipeline::PipelineOptions;
 use bdc_synth::sta::StaConfig;
 
@@ -131,30 +132,6 @@ impl TechKit {
         }
     }
 
-    /// Like [`TechKit::build`], but caches the characterized library as a
-    /// Liberty-dialect file under `dir` (created if missing) and reloads it
-    /// on subsequent calls — the disk-cached flow a downstream user wants.
-    ///
-    /// A stale or corrupt cache file is silently re-characterized and
-    /// rewritten; cache *write* failures are non-fatal.
-    ///
-    /// # Errors
-    /// Propagates characterization failures.
-    pub fn build_cached(process: Process, dir: &std::path::Path) -> Result<TechKit, CircuitError> {
-        let path = dir.join(format!("{}.bdclib", process.name()));
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(lib) = bdc_cells::parse_library(&text) {
-                if lib.process == process.kind() {
-                    return Ok(Self::with_library(process, lib));
-                }
-            }
-        }
-        let kit = Self::build(process)?;
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(&path, bdc_cells::write_library(&kit.lib));
-        Ok(kit)
-    }
-
     /// Like [`TechKit::build`], but memoized through the workspace-wide
     /// content-addressed [`ArtifactCache`] (`results/cache/`, or
     /// `BDC_CACHE_DIR`) at per-stage granularity: the assembled library
@@ -165,7 +142,7 @@ impl TechKit {
     /// actually moved. Invalidation is key change — editing the grid,
     /// sizing, rails, or device model addresses different entries and
     /// the stale ones are simply never read again. This is the entry
-    /// point every experiment binary routes through.
+    /// point every experiment routes through.
     ///
     /// # Errors
     /// Propagates characterization failures.
@@ -185,55 +162,42 @@ impl TechKit {
         process: Process,
         overlay: &ParamOverlay,
     ) -> Result<TechKit, CircuitError> {
-        let cache = ArtifactCache::shared();
-        let key = stage::library_stage_key(process, overlay);
         let name = format!("lib-{}", process.name());
-        if !cache.is_enabled() {
-            return Self::load_or_build_uncached(process, overlay, &cache, &name, key);
+        let key = stage::library_stage_key(process, overlay);
+        let build = || {
+            let decode = |text: &str| {
+                bdc_cells::parse_library(text)
+                    .ok()
+                    .filter(|lib| lib.process == process.kind())
+            };
+            let lib = cached(&name, key, decode, bdc_cells::write_library, || {
+                let cells = load_or_build_cells(process, overlay)?;
+                Ok(match process {
+                    Process::Organic => bdc_cells::assemble_organic_library(cells, 5.0, -15.0),
+                    Process::Silicon => bdc_cells::assemble_silicon_library(cells, 1.0),
+                })
+            })?;
+            Ok(Self::with_library(process, lib))
+        };
+        let store = ArtifactCache::shared();
+        if !store.is_enabled() {
+            return build();
         }
-        // Single-flight in-process memo: concurrent plan nodes that miss
-        // the same library key block on one builder instead of each
-        // recharacterizing (or re-parsing) the library. Keyed by
+        // In-process kit memo: concurrent plan nodes that miss the same
+        // library key block on one builder instead of each re-parsing the
+        // library, and a memo hit still counts as a library hit. Keyed by
         // (cache root, stage key) so tests that redirect `BDC_CACHE_DIR`
         // mid-process get a fresh slot.
-        let slot = kit_slot(cache.root().to_path_buf(), key);
-        let mut guard = slot.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(kit) = guard.as_ref() {
+        static KITS: MemoTable<(PathBuf, u64), TechKit> = MemoTable::new();
+        let mut built = false;
+        let kit = KITS.get_or_try((store.root().to_path_buf(), key), || {
+            built = true;
+            build()
+        })?;
+        if !built {
             note_stage(&name, true);
-            return Ok(kit.clone());
         }
-        let kit = Self::load_or_build_uncached(process, overlay, &cache, &name, key)?;
-        *guard = Some(kit.clone());
         Ok(kit)
-    }
-
-    /// The disk-or-build path behind [`TechKit::load_or_build_with`]:
-    /// library load from the artifact cache, else per-cell load-or-
-    /// characterize and reassembly (storing the result). Errors are never
-    /// memoized — a failed build is retried by the next caller.
-    fn load_or_build_uncached(
-        process: Process,
-        overlay: &ParamOverlay,
-        cache: &ArtifactCache,
-        name: &str,
-        key: u64,
-    ) -> Result<TechKit, CircuitError> {
-        if let Some(text) = cache.load(name, key) {
-            if let Ok(lib) = bdc_cells::parse_library(&text) {
-                if lib.process == process.kind() {
-                    note_stage(name, true);
-                    return Ok(Self::with_library(process, lib));
-                }
-            }
-        }
-        note_stage(name, false);
-        let cells = load_or_build_cells(process, overlay)?;
-        let lib = match process {
-            Process::Organic => bdc_cells::assemble_organic_library(cells, 5.0, -15.0),
-            Process::Silicon => bdc_cells::assemble_silicon_library(cells, 1.0),
-        };
-        cache.store(name, key, &bdc_cells::write_library(&lib));
-        Ok(Self::with_library(process, lib))
     }
 
     /// A fast, simulation-free kit (synthetic constant-delay library with
@@ -254,26 +218,6 @@ impl TechKit {
     }
 }
 
-/// One memo slot per (cache root, library stage key): the `Mutex` is the
-/// single-flight — a builder holds it for the build's duration, so
-/// concurrent waiters block and then read the finished kit instead of
-/// duplicating the work. Entries are never evicted; a sweep adds two
-/// slots per parameter point.
-type KitSlot = std::sync::Arc<std::sync::Mutex<Option<TechKit>>>;
-
-fn kit_slot(root: std::path::PathBuf, key: u64) -> KitSlot {
-    static SLOTS: std::sync::Mutex<
-        Option<std::collections::BTreeMap<(std::path::PathBuf, u64), KitSlot>>,
-    > = std::sync::Mutex::new(None);
-    SLOTS
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .get_or_insert_with(std::collections::BTreeMap::new)
-        .entry((root, key))
-        .or_default()
-        .clone()
-}
-
 /// Loads each of the five combinational cells from the stage cache, or
 /// characterizes the misses, in [`LogicKind::all`] order — the serial
 /// loop [`CellLibrary::organic_at_shifted`] runs, with a per-cell memo
@@ -284,7 +228,6 @@ fn load_or_build_cells(
     process: Process,
     overlay: &ParamOverlay,
 ) -> Result<Vec<Cell>, CircuitError> {
-    let cache = ArtifactCache::shared();
     let sizing = OrganicSizing::library_default();
     let cfg = match process {
         Process::Organic => CharacterizeConfig::organic(),
@@ -293,23 +236,16 @@ fn load_or_build_cells(
     let mut cells = Vec::new();
     for kind in LogicKind::all() {
         let (name, key) = stage::cell_artifact(process, kind, overlay);
-        if let Some(text) = cache.load(&name, key) {
-            if let Some(cell) = bdc_cells::parse_cell_text(&text) {
-                if cell.kind.logic() == Some(kind) {
-                    note_stage(&name, true);
-                    cells.push(cell);
-                    continue;
-                }
-            }
-        }
-        note_stage(&name, false);
-        let cell = match process {
-            Process::Organic => {
-                build_organic_cell(kind, &sizing, 5.0, -15.0, overlay.organic_delta_vt, &cfg)?
-            }
-            Process::Silicon => build_silicon_cell(kind, 450.0e-9, 1.0, &cfg)?,
+        let decode = |text: &str| {
+            bdc_cells::parse_cell_text(text).filter(|cell| cell.kind.logic() == Some(kind))
         };
-        cache.store(&name, key, &bdc_cells::write_cell_text(&cell));
+        let build = || match process {
+            Process::Organic => {
+                build_organic_cell(kind, &sizing, 5.0, -15.0, overlay.organic_delta_vt, &cfg)
+            }
+            Process::Silicon => build_silicon_cell(kind, 450.0e-9, 1.0, &cfg),
+        };
+        let cell = cached(&name, key, decode, bdc_cells::write_cell_text, build)?;
         cells.push(cell);
     }
     Ok(cells)
@@ -366,19 +302,41 @@ mod tests {
     }
 
     #[test]
-    fn build_cached_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("bdc-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let first = TechKit::build_cached(Process::Silicon, &dir).expect("characterize");
-        assert!(dir.join("silicon.bdclib").exists());
-        let second = TechKit::build_cached(Process::Silicon, &dir).expect("cached");
-        // The reload is bit-exact on timing.
-        assert_eq!(first.lib.fo4_delay(), second.lib.fo4_delay());
-        assert_eq!(first.lib.dff, second.lib.dff);
-        // A corrupt cache falls back to re-characterization.
-        std::fs::write(dir.join("silicon.bdclib"), "garbage").unwrap();
-        let third = TechKit::build_cached(Process::Silicon, &dir).expect("recover");
-        assert!((third.lib.fo4_delay() - first.lib.fo4_delay()).abs() < 1e-15);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn load_or_build_round_trips_through_the_store() {
+        let _env = crate::testenv::cache_env_lock();
+        let base = std::env::temp_dir().join(format!("bdc-kit-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        // The kit memo is per cache root, so each load below gets a fresh
+        // root and must go through the store.
+        let load_in = |root: &str| {
+            std::env::set_var("BDC_CACHE_DIR", base.join(root));
+            let kit = TechKit::load_or_build(Process::Silicon);
+            std::env::remove_var("BDC_CACHE_DIR");
+            kit.expect("characterize")
+        };
+        let copy_store = |from: &str, to: &str| {
+            std::fs::create_dir_all(base.join(to)).unwrap();
+            for entry in std::fs::read_dir(base.join(from)).unwrap().flatten() {
+                std::fs::copy(entry.path(), base.join(to).join(entry.file_name())).unwrap();
+            }
+        };
+        let scope = bdc_exec::new_scope();
+        let _scope = bdc_exec::enter_scope(scope);
+        let liberty = bdc_cells::write_library(&load_in("cold").lib);
+        // The reload from disk is bit-exact.
+        copy_store("cold", "warm");
+        assert_eq!(bdc_cells::write_library(&load_in("warm").lib), liberty);
+        // A stored library that fails to decode is rebuilt from the warm
+        // cells and rewritten.
+        copy_store("cold", "garbled");
+        let (name, key) = library_artifact(Process::Silicon);
+        let garbled = ArtifactCache::new(base.join("garbled"));
+        assert!(garbled.store(&name, key, "garbage"));
+        assert_eq!(bdc_cells::write_library(&load_in("garbled").lib), liberty);
+        assert_eq!(garbled.load(&name, key), Some(liberty));
+        let tallies = bdc_exec::scope_counters(scope);
+        assert_eq!(tallies.get("lib-silicon"), Some(&(1, 2)));
+        assert_eq!(tallies.get("cell-silicon-inv"), Some(&(1, 1)));
+        let _ = std::fs::remove_dir_all(&base);
     }
 }

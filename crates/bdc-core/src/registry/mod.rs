@@ -8,12 +8,11 @@
 //! catalogue:
 //!
 //! - the `bdc` CLI (`bdc list`, `bdc run fig12 --quick`, `bdc run --all`),
-//! - the 25 legacy binaries, now ~5-line shims over [`run_one`],
 //! - `bdc-serve`'s `/v1/experiments` and `/v1/experiment` endpoints,
 //! - `bench_report`'s registry section and the CI smoke gate.
 //!
-//! Rendered node text is content-addressed in the shared
-//! [`ArtifactCache`] (`exp-{id}-{key:016x}.txt`), so a warm `bdc run
+//! Rendered node text is content-addressed in the shared artifact store
+//! through [`bdc_exec::cached`] (`exp-{id}-{key:016x}.txt`), so a warm `bdc run
 //! --all` is file reads. [`run_plan`] walks the selected nodes, prewarms
 //! shared library dependencies, fans independent nodes onto the
 //! `bdc-exec` pool and returns a [`RunReport`] the CLI serializes as
@@ -29,7 +28,7 @@ use std::time::Instant;
 
 use bdc_exec::faults;
 use bdc_exec::json::Json;
-use bdc_exec::{fnv1a, note_stage, par_map, ArtifactCache};
+use bdc_exec::{cached, fnv1a, par_map};
 
 use crate::experiments::SimBudget;
 use crate::stage::{library_stage_key, ParamOverlay};
@@ -460,36 +459,31 @@ pub fn node_cache_key_with(
 }
 
 fn run_node(node: &'static Node, ctx: &RunCtx) -> Result<NodeOutput, String> {
-    let cache = ArtifactCache::shared();
     let key = node_cache_key_with(node, ctx.quick, ctx.budget, &ctx.overlay);
     let name = format!("exp-{}", node.id);
-    if let Some(text) = cache.load(&name, key) {
-        note_stage(&name, true);
-        return Ok(NodeOutput {
-            id: node.id,
-            text,
-            cache_hit: true,
-            key,
-        });
-    }
-    note_stage(&name, false);
-    let mut text = format!("== {}: {} ==\n", node.title, node.what);
-    if ctx.quick {
-        text.push_str("   (quick mode: reduced simulation budget)\n");
-    }
-    (node.run)(ctx, &mut text).map_err(|e| format!("{}: {e}", node.id))?;
-    cache.store(&name, key, &text);
+    let mut cache_hit = true;
+    let render = || {
+        cache_hit = false;
+        let mut text = format!("== {}: {} ==\n", node.title, node.what);
+        if ctx.quick {
+            text.push_str("   (quick mode: reduced simulation budget)\n");
+        }
+        (node.run)(ctx, &mut text)
+            .map(|()| text)
+            .map_err(|e| format!("{}: {e}", node.id))
+    };
+    let text = cached(&name, key, |t| Some(t.to_string()), String::clone, render)?;
     Ok(NodeOutput {
         id: node.id,
         text,
-        cache_hit: false,
+        cache_hit,
         key,
     })
 }
 
-/// Renders one node by id. This is the legacy-shim entry point: the
-/// returned text is byte-identical to what the old standalone binary
-/// printed at the same budget.
+/// Renders one node by id: the text `bdc run <id>` prints, byte-identical
+/// to what the old standalone per-figure binary printed at the same
+/// budget.
 pub fn run_one(id: &str, quick: bool) -> Result<NodeOutput, String> {
     let node = find(id).ok_or_else(|| format!("unknown experiment id `{id}` (try `bdc list`)"))?;
     run_node(node, &RunCtx::new(quick))

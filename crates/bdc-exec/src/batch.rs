@@ -4,9 +4,9 @@
 //! independent grid points per transient call. Like the worker count in
 //! [`crate::pool`], the knob resolves override → environment → default, and
 //! a malformed value is rejected loudly instead of silently falling back.
-//! `BDC_BATCH_LANES=1` (or the `BDC_NO_BATCH` escape hatch) selects the
-//! scalar reference path; both produce byte-identical results — lanes only
-//! change how the work is scheduled, never what it computes.
+//! `BDC_BATCH_LANES=1` selects the scalar reference path; every lane count
+//! produces byte-identical results — lanes only change how the work is
+//! scheduled, never what it computes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,9 +35,8 @@ pub fn set_batch_lanes(n: Option<usize>) {
 }
 
 /// The lane count batched characterization will use: the
-/// [`set_batch_lanes`] override if installed, else 1 when `BDC_NO_BATCH`
-/// is set (any value — presence wins, mirroring `BDC_NO_CACHE`), else
-/// `BDC_BATCH_LANES` from the environment, else [`DEFAULT_BATCH_LANES`].
+/// [`set_batch_lanes`] override if installed, else `BDC_BATCH_LANES` from
+/// the environment, else [`DEFAULT_BATCH_LANES`].
 ///
 /// A malformed `BDC_BATCH_LANES` prints the parser's one-line diagnostic
 /// to stderr and exits with status 2, exactly like [`crate::workers`]:
@@ -48,9 +47,6 @@ pub fn batch_lanes() -> usize {
     let forced = LANE_OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {
         return forced;
-    }
-    if std::env::var_os("BDC_NO_BATCH").is_some() {
-        return 1;
     }
     if let Ok(raw) = std::env::var("BDC_BATCH_LANES") {
         return parse_batch_lanes(&raw).unwrap_or_else(|e| {

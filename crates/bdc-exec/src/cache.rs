@@ -45,6 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::faults;
+use crate::memo::MemoTable;
 
 /// On-disk artifact format version tag; bump on any framing change so
 /// older entries quarantine-and-rebuild instead of misparsing.
@@ -319,33 +320,11 @@ pub struct ArtifactCache {
     budget_bytes: Option<u64>,
 }
 
-/// One artifact's `(root, name, key)` address.
-type ArtifactAddr = (PathBuf, String, u64);
-
-/// Per-(root, name, key) in-flight computation locks: a cached helper
-/// holds its artifact's lock across load → compute → store, so when N
-/// workers miss the same key at once, one computes and the rest block
-/// briefly and then load the stored artifact — a hit, not N duplicate
-/// recomputations. Entries are tiny and never evicted; the map is
-/// bounded by the number of distinct artifacts a process touches.
-static IN_FLIGHT: Mutex<Option<BTreeMap<ArtifactAddr, Arc<Mutex<()>>>>> = Mutex::new(None);
-
-/// The single-flight lock for one artifact address. See [`IN_FLIGHT`].
-pub fn artifact_flight(root: &Path, name: &str, key: u64) -> Arc<Mutex<()>> {
-    IN_FLIGHT
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .get_or_insert_with(BTreeMap::new)
-        .entry((root.to_path_buf(), name.to_string(), key))
-        .or_default()
-        .clone()
-}
-
 /// Roots already swept for orphaned temp files by this process. The
 /// sweep walks the whole cache directory, and hot paths construct
 /// [`ArtifactCache::shared`] once per cache access — so the walk runs
 /// once per root per process, not per construction.
-static REAPED_ROOTS: Mutex<Option<BTreeSet<PathBuf>>> = Mutex::new(None);
+static REAPED_ROOTS: MemoTable<PathBuf, ()> = MemoTable::new();
 
 impl ArtifactCache {
     /// A cache rooted at an explicit directory (created lazily on first
@@ -366,15 +345,10 @@ impl ArtifactCache {
             enabled: true,
             budget_bytes,
         };
-        let first_open = REAPED_ROOTS
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get_or_insert_with(BTreeSet::new)
-            .insert(cache.root.clone());
-        if first_open {
+        REAPED_ROOTS.get_or_init(cache.root.clone(), || {
             cache.reap_orphaned_tmp();
             cache.reap_stale_quarantine(current_generation(&cache.root));
-        }
+        });
         cache
     }
 
@@ -716,7 +690,7 @@ impl ArtifactCache {
             return;
         }
         let mut ledger = ledger_generations(&self.root);
-        let pinned = pinned_files(&self.root);
+        let pinned = crate::memo::pinned_files(&self.root);
         // Oldest generation first; entries predating the ledger sort
         // before everything at generation 0, ties broken by filename so
         // the order is deterministic.
@@ -742,21 +716,6 @@ impl ArtifactCache {
         }
         rewrite_gen_ledger(&self.root.join(LEDGER_FILE), &ledger);
     }
-}
-
-/// Artifact filenames under `root` whose single-flight lock is currently
-/// held — an in-flight load → compute → store holds its artifact's lock
-/// throughout, so these are exactly the keys pinned by running plans.
-fn pinned_files(root: &Path) -> BTreeSet<String> {
-    let guard = IN_FLIGHT.lock().unwrap_or_else(|p| p.into_inner());
-    let Some(map) = guard.as_ref() else {
-        return BTreeSet::new();
-    };
-    map.iter()
-        .filter(|((r, _, _), _)| r == root)
-        .filter(|(_, lock)| lock.try_lock().is_err())
-        .map(|((_, name, key), _)| format!("{name}-{key:016x}.txt"))
-        .collect()
 }
 
 /// Writes bytes and syncs them to stable storage; a crash after this
@@ -1069,17 +1028,25 @@ mod tests {
         let c = ArtifactCache::with_budget_bytes(&dir, Some(500));
         let payload = "y".repeat(400);
         assert!(c.store("pinned", 1, &payload));
-        // Hold the single-flight lock, as a cached helper computing this
-        // artifact would, then blow the budget with a second store.
-        let flight = artifact_flight(c.root(), "pinned", 1);
-        let held = flight.lock().unwrap();
-        assert!(c.store("other", 2, &payload));
+        // Recompute `pinned` (an undecodable hit) under its single-flight
+        // lock, as a cached stage would, and blow the budget with a second
+        // store meanwhile: eviction must work around the pinned artifact.
+        let survivor = crate::memo::cached_in(
+            &c,
+            "pinned",
+            1,
+            |_| None,
+            |_| payload.clone(),
+            || {
+                assert!(c.store("other", 2, &payload));
+                Ok::<_, std::convert::Infallible>(c.load("pinned", 1))
+            },
+        );
         assert_eq!(
-            c.load("pinned", 1).as_deref(),
-            Some(payload.as_str()),
+            survivor,
+            Ok(Some(payload)),
             "a pinned artifact must survive eviction"
         );
-        drop(held);
         let _ = std::fs::remove_dir_all(c.root());
     }
 

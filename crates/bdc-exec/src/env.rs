@@ -41,10 +41,6 @@ pub struct EnvConfig {
     /// `BDC_BATCH_LANES`, parsed and range-checked by
     /// [`parse_batch_lanes`].
     pub batch_lanes: Option<usize>,
-    /// Whether `BDC_NO_BATCH` is set (any value — presence forces the
-    /// scalar transient path, winning over `BDC_BATCH_LANES`, matching the
-    /// `BDC_NO_CACHE` convention).
-    pub no_batch: bool,
     /// The cluster topology knobs (`BDC_SHARDS`, `BDC_RING_SEED`,
     /// `BDC_SHARD_ID`, `BDC_PEER_PORTS`), cross-validated by
     /// [`cluster::cluster_env`]. `None` when no cluster knob is set.
@@ -55,14 +51,16 @@ pub struct EnvConfig {
 }
 
 /// Reads and validates `BDC_WORKERS`, `BDC_CACHE_DIR`, `BDC_NO_CACHE`,
-/// `BDC_FAULTS`, `BDC_BATCH_LANES`, `BDC_NO_BATCH`, and the cluster
-/// topology knobs (`BDC_SHARDS`, `BDC_RING_SEED`, `BDC_SHARD_ID`,
-/// `BDC_PEER_PORTS`).
+/// `BDC_FAULTS`, `BDC_BATCH_LANES`, and the cluster topology knobs
+/// (`BDC_SHARDS`, `BDC_RING_SEED`, `BDC_SHARD_ID`, `BDC_PEER_PORTS`).
 ///
 /// # Errors
 /// Returns the hardened parsers' diagnostics (which name the offending
 /// variable) when a set variable is malformed, so callers can print the
-/// message verbatim and exit instead of panicking mid-run.
+/// message verbatim and exit instead of panicking mid-run. The removed
+/// `BDC_NO_BATCH` knob is rejected the same way, pointing at its
+/// replacement, so a script that still sets it fails loudly instead of
+/// silently running the batched kernel.
 pub fn env_config() -> Result<EnvConfig, String> {
     let workers = match std::env::var("BDC_WORKERS") {
         Ok(raw) => Some(parse_workers(&raw)?),
@@ -81,13 +79,14 @@ pub fn env_config() -> Result<EnvConfig, String> {
         Err(_) => None,
     };
     let batch_lanes = match std::env::var("BDC_BATCH_LANES") {
-        // BDC_NO_BATCH wins at use time (`crate::batch_lanes`), but a
-        // malformed lane count is still a configuration error worth
-        // rejecting up front.
         Ok(raw) => Some(parse_batch_lanes(&raw)?),
         Err(_) => None,
     };
-    let no_batch = std::env::var_os("BDC_NO_BATCH").is_some();
+    if std::env::var_os("BDC_NO_BATCH").is_some() {
+        return Err(
+            "BDC_NO_BATCH was removed; set BDC_BATCH_LANES=1 for the scalar reference path".into(),
+        );
+    }
     let cluster = cluster::cluster_env()?;
     let cache_budget_mb = match std::env::var("BDC_CACHE_BUDGET_MB") {
         Ok(raw) => Some(parse_cache_budget_mb(&raw)?),
@@ -99,7 +98,6 @@ pub fn env_config() -> Result<EnvConfig, String> {
         no_cache,
         faults: fault_cfg,
         batch_lanes,
-        no_batch,
         cluster,
         cache_budget_mb,
     })
@@ -137,7 +135,6 @@ mod tests {
                     no_cache: false,
                     faults: None,
                     batch_lanes: None,
-                    no_batch: false,
                     cluster: None,
                     cache_budget_mb: None,
                 }

@@ -19,11 +19,13 @@
 //!   artifacts (characterized libraries, synthesized-core results). Keys
 //!   are FNV-1a hashes over every input that affects the artifact plus a
 //!   schema-version salt; invalidation is key change, so stale entries are
-//!   simply never addressed again.
+//!   simply never addressed again. Flow stages reach it through one entry
+//!   point, [`cached`], and keep in-process memos in a [`MemoTable`] — the
+//!   per-key single-flight table [`cached`] is built on.
 //!
 //! Four supporting pieces ride along: [`env_config`] validates the shared
 //! `BDC_WORKERS` / `BDC_CACHE_DIR` / `BDC_NO_CACHE` / `BDC_FAULTS` /
-//! `BDC_BATCH_LANES` / `BDC_NO_BATCH` environment knobs plus the cluster
+//! `BDC_BATCH_LANES` environment knobs plus the cluster
 //! topology knobs (`BDC_SHARDS` / `BDC_RING_SEED` / `BDC_SHARD_ID` /
 //! `BDC_PEER_PORTS`) once at process start (every binary front door calls
 //! it instead of re-reading the variables ad hoc), [`json`] holds the
@@ -45,6 +47,7 @@ pub mod cluster;
 mod env;
 pub mod faults;
 pub mod json;
+mod memo;
 mod pool;
 mod seed;
 mod stages;
@@ -53,11 +56,11 @@ pub use batch::{
     batch_lanes, parse_batch_lanes, set_batch_lanes, DEFAULT_BATCH_LANES, MAX_BATCH_LANES,
 };
 pub use cache::{
-    artifact_flight, fnv1a, frame_artifact, install_peer_hooks, parse_cache_budget_mb,
-    unframe_artifact, validate_cache_dir, ArtifactCache, PeerFetch, PeerHooks,
-    QUARANTINE_REAP_GENERATIONS,
+    fnv1a, frame_artifact, install_peer_hooks, parse_cache_budget_mb, unframe_artifact,
+    validate_cache_dir, ArtifactCache, PeerFetch, PeerHooks, QUARANTINE_REAP_GENERATIONS,
 };
 pub use env::{env_config, EnvConfig};
+pub use memo::{cached, MemoTable};
 pub use pool::{par_map, par_mapi, parse_workers, set_workers, workers};
 pub use seed::{task_seed, SplitMix64};
 pub use stages::{

@@ -75,6 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.area_um2
         );
     }
-    println!("\nNext: run the figure binaries in bdc-bench (e.g. `cargo run --release -p bdc-bench --bin fig12_alu_depth`).");
+    println!("\nNext: run a figure through the bdc CLI (e.g. `cargo run --release -p bdc-bench --bin bdc -- run fig12`).");
     Ok(())
 }
