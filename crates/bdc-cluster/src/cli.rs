@@ -9,7 +9,8 @@
 //! ```
 //!
 //! The last row of flags is passed through verbatim to every worker, so a
-//! fleet can be tuned exactly like a single `bdc_serve` daemon. Flag
+//! fleet can be tuned exactly like a single `bdc_serve` daemon; `--warm`
+//! warms both libraries on each (`bdc_serve --warm organic,silicon`). Flag
 //! errors exit with status 2 (matching the `BDC_FAULTS` validation
 //! discipline); runtime failures exit 1.
 
@@ -121,7 +122,9 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, String> {
             "--serve-bin" => out.serve_bin = Some(PathBuf::from(value("--serve-bin")?)),
             "--cache-root" => out.cache_root = PathBuf::from(value("--cache-root")?),
             "--pid-file" => out.pid_file = PathBuf::from(value("--pid-file")?),
-            "--warm" => out.passthrough.push("--warm".into()),
+            "--warm" => out
+                .passthrough
+                .extend(["--warm".into(), "organic,silicon".into()]),
             "--queue-cap" | "--deadline-ms" | "--max-retries" => {
                 let v = value(flag)?;
                 out.passthrough.push(flag.clone());
@@ -223,4 +226,42 @@ pub fn run_cluster(args: &ClusterArgs, stop: &dyn Fn() -> bool) -> i32 {
     supervisor.shutdown();
     println!("bdc cluster: done");
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ClusterArgs, String> {
+        parse_cluster_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn worker_flags_pass_through_with_their_values() {
+        let args = parse(&[
+            "--queue-cap",
+            "16",
+            "--warm",
+            "--deadline-ms",
+            "250",
+            "--max-retries",
+            "2",
+        ])
+        .expect("valid flags");
+        // `bdc_serve --warm` takes a process list, so the bare cluster flag
+        // must expand to one rather than swallow the next worker flag.
+        assert_eq!(
+            args.passthrough,
+            [
+                "--queue-cap",
+                "16",
+                "--warm",
+                "organic,silicon",
+                "--deadline-ms",
+                "250",
+                "--max-retries",
+                "2"
+            ]
+        );
+    }
 }

@@ -13,7 +13,7 @@ use bdc_core::experiments::{width_ipc_matrix, SimBudget};
 use bdc_core::{Process, TechKit};
 use bdc_device::variation::VariedModel;
 use bdc_device::TftParams;
-use bdc_exec::{set_batch_lanes, set_workers};
+use bdc_exec::{par_map, set_batch_lanes, set_workers};
 
 /// Guards the global worker-count and batch-lane overrides; resets both on
 /// drop. Tests touching either knob must hold this lock — both are
@@ -70,6 +70,40 @@ fn characterization_tables_are_bit_identical_across_worker_counts() {
             table_bits(&t.delay_fall),
             table_bits(&t.out_slew),
         );
+        match &reference {
+            None => reference = Some(bits),
+            Some(r) => assert_eq!(*r, bits, "{w} workers diverged from serial"),
+        }
+    }
+}
+
+#[test]
+fn nested_fan_outs_are_bit_identical_across_worker_counts() {
+    let _lock = PoolLock::acquire();
+    // Each outer task characterizes one gate, which fans out again over
+    // its grid: at 2 and 8 workers those inner fan-outs run on helpers
+    // recruited from the shared budget, not inline on the outer worker.
+    let sizing = OrganicSizing::library_default();
+    let gates: Vec<_> = [LogicKind::Inv, LogicKind::Nand2, LogicKind::Nor2]
+        .into_iter()
+        .map(|kind| organic_gate(kind, &sizing, 5.0, -15.0))
+        .collect();
+    let cfg = CharacterizeConfig {
+        slews: vec![2.0e-5, 2.0e-4],
+        loads: vec![1.0e-10, 1.0e-9],
+        ..CharacterizeConfig::organic()
+    };
+    let mut reference = None;
+    for w in WORKER_COUNTS {
+        set_workers(Some(w));
+        let bits = par_map(&gates, |gate| {
+            let t = characterize_gate(gate, &cfg).expect("characterize");
+            (
+                table_bits(&t.delay_rise),
+                table_bits(&t.delay_fall),
+                table_bits(&t.out_slew),
+            )
+        });
         match &reference {
             None => reference = Some(bits),
             Some(r) => assert_eq!(*r, bits, "{w} workers diverged from serial"),

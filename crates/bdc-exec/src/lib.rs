@@ -7,14 +7,17 @@
 //! cycle-accurate core simulations. This crate supplies the two primitives
 //! every hot path shares:
 //!
-//! * [`par_map`] / [`par_mapi`] — a scoped work-stealing thread pool whose
-//!   output is **bit-identical to serial execution**: results are collected
-//!   in index order, every task is a pure function of its index and input,
-//!   and randomized tasks derive their seed from [`task_seed`] rather than
-//!   from a shared sequential stream. Worker count comes from
-//!   [`set_workers`], the `BDC_WORKERS` environment variable, or the
-//!   machine; `workers() == 1` runs inline on the calling thread — the
-//!   serial path *is* the parallel path with one worker.
+//! * [`par_map`] / [`par_mapi`] — a scoped thread pool whose output is
+//!   **bit-identical to serial execution**: results are collected in index
+//!   order, every task is a pure function of its index and input, and
+//!   randomized tasks derive their seed from [`task_seed`] rather than
+//!   from a shared sequential stream. At most [`workers`] threads run tasks
+//!   at once, process-wide, and a fan-out nested inside a task draws on
+//!   that same budget, so a slot left idle by one fan-out goes to another
+//!   that still has work. Worker count comes from [`set_workers`], the
+//!   `BDC_WORKERS` environment variable, or the machine; `workers() == 1`
+//!   runs inline on the calling thread — the serial path *is* the
+//!   parallel path with one worker.
 //! * [`ArtifactCache`] — a content-addressed on-disk memo for flow
 //!   artifacts (characterized libraries, synthesized-core results). Keys
 //!   are FNV-1a hashes over every input that affects the artifact plus a
