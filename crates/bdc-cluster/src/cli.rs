@@ -127,6 +127,14 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, String> {
                 .extend(["--warm".into(), "organic,silicon".into()]),
             "--queue-cap" | "--deadline-ms" | "--max-retries" => {
                 let v = value(flag)?;
+                // Checked here with `bdc_serve`'s own rule, so a bad value
+                // fails the command instead of every worker spawn: a zero
+                // queue cap or deadline would stop all serving.
+                let zero_ok = flag == "--max-retries";
+                if !v.parse::<usize>().is_ok_and(|n| zero_ok || n > 0) {
+                    let kind = if zero_ok { "non-negative" } else { "positive" };
+                    return Err(format!("{flag} must be a {kind} integer (got {v:?})"));
+                }
                 out.passthrough.push(flag.clone());
                 out.passthrough.push(v);
             }
@@ -263,5 +271,21 @@ mod tests {
                 "2"
             ]
         );
+    }
+
+    #[test]
+    fn zero_queue_cap_or_deadline_is_rejected_but_zero_retries_is_not() {
+        for flag in ["--queue-cap", "--deadline-ms"] {
+            for bad in ["0", "-1", "soon"] {
+                let err = parse(&[flag, bad]).expect_err(bad);
+                assert!(err.contains(flag) && err.contains("positive"), "{err}");
+            }
+            assert_eq!(parse(&[flag, "1"]).unwrap().passthrough, [flag, "1"]);
+        }
+        assert_eq!(
+            parse(&["--max-retries", "0"]).unwrap().passthrough,
+            ["--max-retries", "0"]
+        );
+        assert!(parse(&["--max-retries", "x"]).is_err());
     }
 }

@@ -23,12 +23,6 @@
 //! request; the probe's outcome closes or reopens it. Closed breakers are
 //! byte-inert — the zero-fault determinism gate routes exactly as before.
 //!
-//! **Deadline propagation:** a request carrying `x-bdc-deadline-ms` has
-//! the router's own elapsed time subtracted before each attempt, the
-//! remainder forwarded downstream (the shard refuses work the remainder
-//! cannot cover), and its failover loop stops the moment the budget runs
-//! out — a fast 503 instead of a doomed slow retry chain.
-//!
 //! **Fleet observability:** the router answers `/healthz` with per-shard
 //! `ok|degraded|draining|down` states, `/v1/metrics` with its own proxy
 //! counters plus every shard's snapshot and a fleet-wide sum, and
@@ -115,9 +109,6 @@ pub struct RouterMetrics {
     pub breaker_probes: AtomicU64,
     /// Times any shard's breaker opened (including reopens).
     pub breaker_opened: AtomicU64,
-    /// Requests whose propagated deadline budget ran out inside the
-    /// router (answered 503 without further failover).
-    pub deadline_exhausted: AtomicU64,
 }
 
 struct Shared {
@@ -328,12 +319,11 @@ fn handle(request: &http::Request, shared: &Shared) -> Response {
 }
 
 /// Proxies a request to the slot's owner, failing over along the replica
-/// order with seeded backoff until the per-request attempt budget — or
-/// the request's propagated deadline budget — is spent. Candidate shards
-/// whose circuit breaker is open are skipped (the breaker's half-open
-/// probe admits one live request through); when every candidate's breaker
-/// is open the nominal owner is tried anyway — fail-static beats failing
-/// closed on a fully-tripped fleet.
+/// order with seeded backoff until the per-request attempt budget is
+/// spent. Candidate shards whose circuit breaker is open are skipped (the
+/// breaker's half-open probe admits one live request through); when every
+/// candidate's breaker is open the nominal owner is tried anyway —
+/// fail-static beats failing closed on a fully-tripped fleet.
 fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
     let body = match std::str::from_utf8(&request.body) {
         Ok(b) => b,
@@ -345,8 +335,6 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
         format!("{}?{}", request.path, request.query)
     };
     shared.metrics.proxied.fetch_add(1, Ordering::Relaxed);
-    // bdc-lint: allow(D002, deadline-budget tracking, not artifact bytes)
-    let t0 = Instant::now();
     let replicas = shared.ring.replicas(slot);
     let attempts = shared.cfg.proxy_retries as usize + 1;
     let mut last_status = None;
@@ -354,23 +342,6 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
         if attempt > 0 {
             shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(faults::backoff_delay(&path_query, attempt as u64));
-        }
-        // Deadline subtraction: each attempt sees what is left of the
-        // client's budget after the router's own elapsed time. An empty
-        // remainder ends the failover loop — a fast 503 beats burning
-        // replicas on a request nobody is waiting for anymore.
-        let remaining_ms = request
-            .deadline_ms
-            .map(|ms| ms.saturating_sub(t0.elapsed().as_millis() as u64));
-        if remaining_ms == Some(0) {
-            shared
-                .metrics
-                .deadline_exhausted
-                .fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::error(503, "deadline budget exhausted in router");
-            r.extra_headers
-                .push(("x-bdc-deadline-refused".into(), "1".into()));
-            return r;
         }
         // Breaker walk: the first candidate (in ring order from this
         // attempt) whose breaker admits the request.
@@ -411,16 +382,10 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
                 "injected partition",
             ))
         } else {
-            let timeout = match remaining_ms {
-                Some(ms) => PROXY_TIMEOUT.min(Duration::from_millis(ms)),
-                None => PROXY_TIMEOUT,
-            };
-            Connection::open_with_timeout(addr, timeout).and_then(|mut c| {
-                match (request.method, remaining_ms) {
-                    (http::Method::Get, None) => c.get(&path_query),
-                    (http::Method::Get, Some(ms)) => c.get_with_deadline(&path_query, ms),
-                    (http::Method::Post, None) => c.post(&path_query, body),
-                    (http::Method::Post, Some(ms)) => c.post_with_deadline(&path_query, body, ms),
+            Connection::open_with_timeout(addr, PROXY_TIMEOUT).and_then(|mut c| {
+                match request.method {
+                    http::Method::Get => c.get(&path_query),
+                    http::Method::Post => c.post(&path_query, body),
                 }
             })
         };
@@ -579,7 +544,6 @@ fn metrics(shared: &Shared) -> Response {
                 ("breaker_skips".into(), load(&m.breaker_skips)),
                 ("breaker_probes".into(), load(&m.breaker_probes)),
                 ("breaker_opened".into(), load(&m.breaker_opened)),
-                ("deadline_exhausted".into(), load(&m.deadline_exhausted)),
                 (
                     "shards".into(),
                     Json::Int(shared.cfg.shard_addrs.len() as i64),

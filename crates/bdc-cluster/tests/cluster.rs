@@ -7,6 +7,9 @@
 //! aggregate per-shard state; and the peer artifact protocol round-trips
 //! through the router to the ring owner.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+
 use bdc_cluster::cluster::{artifact_slot, Ring};
 use bdc_cluster::router::{start_router, RouterConfig};
 use bdc_serve::client::Connection;
@@ -154,6 +157,43 @@ fn any_shard_and_the_router_serve_byte_identical_bodies() {
     }
 }
 
+/// One `connection: close` GET with `extra` header lines, returning the
+/// raw response bytes (the client API sends no custom headers).
+fn raw_get(addr: &str, path: &str, extra: &str) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect router");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nhost: bdc\r\n{extra}connection: close\r\n\r\n"
+    )
+    .expect("send request");
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).expect("read response");
+    out
+}
+
+#[test]
+fn router_ignores_a_stray_deadline_header() {
+    // Older clients may still send `x-bdc-deadline-ms`. Neither the router
+    // nor the shards read it any more, so a 1 ms "budget" on a cold miss
+    // must get the same bytes (status, shard, body) as the bare request
+    // rather than a deadline 503.
+    let (handles, _addrs, router, router_addr) = boot_fleet(3);
+    for path in PATHS {
+        let with = raw_get(&router_addr, path, "x-bdc-deadline-ms: 1\r\n");
+        let without = raw_get(&router_addr, path, "");
+        assert!(with.starts_with(b"HTTP/1.1 "), "{path}");
+        assert_eq!(
+            String::from_utf8_lossy(&with),
+            String::from_utf8_lossy(&without),
+            "{path}"
+        );
+    }
+    router.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
 #[test]
 fn failover_hides_a_dead_shard_and_the_fleet_views_report_it() {
     let (mut handles, _addrs, router, router_addr) = boot_fleet(3);
@@ -251,6 +291,45 @@ fn failover_hides_a_dead_shard_and_the_fleet_views_report_it() {
             .expect("fleet request sum")
             > 0,
         "fleet sum must aggregate the surviving shards' counters"
+    );
+
+    router.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn breaker_routes_around_a_dead_shard() {
+    let (mut handles, _addrs, router, router_addr) = boot_fleet(3);
+    let path = "/v1/ipc?workload=gzip&outer=5&instructions=4000";
+    let mut conn = Connection::open(&router_addr).expect("connect router");
+    let owner: usize = conn
+        .get(path)
+        .expect("proxied get")
+        .header("x-bdc-shard")
+        .expect("proxied response carries x-bdc-shard")
+        .parse()
+        .expect("numeric shard id");
+    handles.remove(owner).shutdown();
+
+    // Each request first tries the dead owner until its breaker has seen
+    // `min_samples` (8) failures and opens; from then on the router skips
+    // the owner without a connection attempt.
+    for _ in 0..12 {
+        let r = Connection::open(&router_addr)
+            .expect("connect router")
+            .get(path)
+            .expect("get after kill");
+        assert_eq!(r.status, 200);
+    }
+    let metrics = body_json(&conn.get("/v1/metrics").expect("metrics").body);
+    let router_section = metrics.get("router").expect("router section");
+    let counter = |name: &str| router_section.get(name).and_then(Json::as_u64);
+    assert_eq!(counter("breaker_opened"), Some(1));
+    assert!(
+        counter("breaker_skips").unwrap_or(0) > 0,
+        "an open breaker must route around its shard: {router_section:?}"
     );
 
     router.shutdown();

@@ -510,78 +510,6 @@ pub fn execute(call: &ApiCall) -> Response {
     }
 }
 
-/// First-order logic depth (in FO4 units) of the 9-stage baseline's
-/// critical stage — the anchor of the analytic brownout model below.
-const BASELINE_LOGIC_FO4: f64 = 24.0;
-/// Fraction of the issue-width bound a real workload sustains, for the
-/// analytic IPC estimate.
-const ANALYTIC_IPC_UTILIZATION: f64 = 0.6;
-
-/// The analytic quick path served during queue-pressure brownout: a
-/// first-order estimate for the endpoints whose full answer needs
-/// synthesis or simulation (`/v1/depth`, `/v1/width`, `/v1/ipc`). Depth
-/// and width scale the baseline critical-path logic depth against the
-/// characterized kit's FO4 delay and sequencing overhead — no synthesis,
-/// no STA; IPC is the width-bound times a sustained-utilization factor —
-/// no simulation. Returns `None` for calls with no cheap approximation
-/// (library, synth, experiment), which queue as usual even in brownout.
-///
-/// Bodies are flagged `"degraded": true` (and the server adds an
-/// `x-bdc-degraded` header) so a client can never mistake an estimate for
-/// a flow answer; they bypass the engine entirely, so a degraded body can
-/// never enter the response cache.
-pub fn degraded_response(call: &ApiCall) -> Option<Response> {
-    let analytic_period = |process: Process, logic_fo4: f64| {
-        let kit = bdc_core::process::shared_kit(process);
-        let logic = kit.lib.fo4_delay() * logic_fo4;
-        let seq = kit.lib.dff.setup + kit.lib.dff.clk_to_q * (1.0 + kit.pipe.skew_fraction);
-        logic + seq
-    };
-    let body = |mut members: Vec<(String, Json)>| {
-        let mut all = vec![
-            ("degraded".into(), Json::Bool(true)),
-            ("model".into(), Json::str("first-order-v1")),
-        ];
-        all.append(&mut members);
-        Some(Response::json(200, Json::Obj(all).encode().into_bytes()))
-    };
-    match call {
-        ApiCall::Depth { process, stages } => {
-            // Splitting the baseline into more stages divides its logic
-            // depth; sequencing overhead is paid once per stage regardless.
-            let period = analytic_period(*process, BASELINE_LOGIC_FO4 * 9.0 / *stages as f64);
-            body(vec![
-                ("process".into(), Json::str(process.name())),
-                ("total_stages".into(), Json::Int(*stages as i64)),
-                ("period_s".into(), Json::Num(period)),
-                ("frequency_hz".into(), Json::Num(1.0 / period)),
-            ])
-        }
-        ApiCall::Width { process, fe, be } => {
-            // Wider machines pay superlinear wiring/mux depth; a small
-            // per-lane penalty is the first-order form of that cost.
-            let scale = 1.0 + 0.08 * (*fe as f64 - 1.0) + 0.05 * (*be as f64 - 3.0);
-            let period = analytic_period(*process, BASELINE_LOGIC_FO4 * scale);
-            body(vec![
-                ("process".into(), Json::str(process.name())),
-                ("fe_width".into(), Json::Int(*fe as i64)),
-                ("be_pipes".into(), Json::Int(*be as i64)),
-                ("period_s".into(), Json::Num(period)),
-                ("frequency_hz".into(), Json::Num(1.0 / period)),
-            ])
-        }
-        ApiCall::Ipc { spec, workload, .. } => {
-            let bound = spec.fe_width.min(spec.be_pipes) as f64;
-            body(vec![
-                ("workload".into(), Json::str(workload.name())),
-                ("spec".into(), bdc_core::registry::query::spec_json(spec)),
-                ("ipc".into(), Json::Num(bound * ANALYTIC_IPC_UTILIZATION)),
-            ])
-        }
-        ApiCall::Library { .. } | ApiCall::Synth { .. } | ApiCall::Experiment { .. } => None,
-    }
-}
-
 /// Renders the `/v1/library` body from a kit (thin shim over
 /// [`bdc_core::registry::query::library_json`], kept for tests and
 /// in-process users).
@@ -627,7 +555,6 @@ mod tests {
             query: query.into(),
             body: Vec::new(),
             keep_alive: true,
-            deadline_ms: None,
         }
     }
 
@@ -638,7 +565,6 @@ mod tests {
             query: String::new(),
             body: body.as_bytes().to_vec(),
             keep_alive: true,
-            deadline_ms: None,
         }
     }
 
@@ -775,34 +701,6 @@ mod tests {
         assert_eq!(r.status, 400);
         let r = peer_store_response("x", 1, &[0xFF, 0xFE]);
         assert_eq!(r.status, 400);
-    }
-
-    #[test]
-    fn degraded_quick_path_covers_exactly_the_synthesis_endpoints() {
-        // Depth/width/ipc have a first-order estimate; everything else
-        // queues as usual even in brownout.
-        for (req, expect) in [
-            (get("/v1/depth?stages=12"), true),
-            (get("/v1/width?fe=2&be=4"), true),
-            (get("/v1/ipc?workload=gzip"), true),
-            (get("/v1/library"), false),
-            (get("/v1/synth?fe_width=2"), false),
-        ] {
-            let c = call(&req);
-            assert_eq!(degraded_response(&c).is_some(), expect, "{:?}", req.path);
-        }
-        let r = degraded_response(&call(&get("/v1/depth?stages=12"))).unwrap();
-        assert_eq!(r.status, 200);
-        let parsed = crate::json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
-        assert_eq!(parsed.get("degraded"), Some(&Json::Bool(true)));
-        assert!(parsed.get("frequency_hz").and_then(Json::as_f64).unwrap() > 0.0);
-        // Deeper pipelines must estimate faster — the model is monotone.
-        let shallow = degraded_response(&call(&get("/v1/depth?stages=9"))).unwrap();
-        let sp = crate::json::parse(std::str::from_utf8(&shallow.body).unwrap()).unwrap();
-        assert!(
-            parsed.get("frequency_hz").and_then(Json::as_f64)
-                > sp.get("frequency_hz").and_then(Json::as_f64)
-        );
     }
 
     #[test]

@@ -43,11 +43,11 @@ fn parse_args() -> ServeConfig {
         match flag.as_str() {
             "--addr" => cfg.addr = value("host:port"),
             "--conn-threads" => cfg.conn_threads = parse_num(&flag, &value("count")),
-            "--queue-cap" => cfg.engine.queue_cap = parse_num(&flag, &value("count")),
+            "--queue-cap" => cfg.engine.queue_cap = parse_positive(&flag, &value("count")),
             "--max-batch" => cfg.engine.max_batch = parse_num(&flag, &value("count")).max(1),
             "--cache-cap" => cfg.engine.cache_cap = parse_num(&flag, &value("count")),
             "--deadline-ms" => {
-                cfg.engine.wait_timeout = std::time::Duration::from_millis(parse_num(
+                cfg.engine.wait_timeout = std::time::Duration::from_millis(parse_positive(
                     &flag,
                     &value("milliseconds"),
                 ) as u64)
@@ -77,9 +77,22 @@ fn parse_args() -> ServeConfig {
 
 fn parse_num(flag: &str, raw: &str) -> usize {
     raw.parse().unwrap_or_else(|_| {
-        eprintln!("bdc_serve: {flag} must be a positive integer, got `{raw}`");
+        eprintln!("bdc_serve: {flag} must be a non-negative integer, got `{raw}`");
         usage()
     })
+}
+
+/// [`parse_num`] for flags where 0 would stop all serving: a zero queue
+/// cap sheds every compute request, a zero deadline times out every
+/// flight the moment it is queued.
+fn parse_positive(flag: &str, raw: &str) -> usize {
+    match raw.parse() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("bdc_serve: {flag} must be a positive integer, got `{raw}`");
+            usage()
+        }
+    }
 }
 
 fn main() {

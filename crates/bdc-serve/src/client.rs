@@ -79,27 +79,6 @@ impl Connection {
         self.read_response()
     }
 
-    /// Issues a `GET` carrying an `x-bdc-deadline-ms` budget, the entry
-    /// point of deadline propagation: the server (or router) subtracts its
-    /// own elapsed time before passing the remainder downstream, and
-    /// refuses outright (fast 503) when the remainder cannot cover the
-    /// work.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn get_with_deadline(
-        &mut self,
-        path_query: &str,
-        deadline_ms: u64,
-    ) -> std::io::Result<ClientResponse> {
-        let req = format!(
-            "GET {path_query} HTTP/1.1\r\nhost: bdc\r\nx-bdc-deadline-ms: {deadline_ms}\r\n\r\n"
-        );
-        self.writer.write_all(req.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
     /// Issues a `POST` with a JSON body.
     ///
     /// # Errors
@@ -107,26 +86,6 @@ impl Connection {
     pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<ClientResponse> {
         let req = format!(
             "POST {path} HTTP/1.1\r\nhost: bdc\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.writer.write_all(req.as_bytes())?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    /// Issues a `POST` carrying an `x-bdc-deadline-ms` budget (see
-    /// [`Connection::get_with_deadline`]).
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn post_with_deadline(
-        &mut self,
-        path: &str,
-        body: &str,
-        deadline_ms: u64,
-    ) -> std::io::Result<ClientResponse> {
-        let req = format!(
-            "POST {path} HTTP/1.1\r\nhost: bdc\r\nx-bdc-deadline-ms: {deadline_ms}\r\ncontent-length: {}\r\n\r\n{body}",
             body.len()
         );
         self.writer.write_all(req.as_bytes())?;
@@ -188,21 +147,8 @@ pub fn get_once(addr: &str, path_query: &str) -> std::io::Result<ClientResponse>
     Connection::open(addr)?.get(path_query)
 }
 
-/// One-shot convenience with an `x-bdc-deadline-ms` budget: open, `GET`,
-/// close.
-///
-/// # Errors
-/// Propagates socket errors.
-pub fn get_once_with_deadline(
-    addr: &str,
-    path_query: &str,
-    deadline_ms: u64,
-) -> std::io::Result<ClientResponse> {
-    Connection::open(addr)?.get_with_deadline(path_query, deadline_ms)
-}
-
 /// Whether a response status is worth retrying: transient server-side
-/// states (shed, deadline-expired, contained-fault 500) that a later
+/// states (shed, compute-deadline 503, contained-fault 500) that a later
 /// attempt may well get a cached answer for.
 pub fn is_retryable(status: u16) -> bool {
     matches!(status, 429 | 500 | 503 | 504)

@@ -14,7 +14,10 @@
 //! * **Admission control** — the work queue is bounded. When it is full,
 //!   [`Engine::submit`] returns [`Submission::Shed`] immediately and the
 //!   HTTP layer answers `429 Too Many Requests` with `Retry-After`. The
-//!   queue can never grow without bound, and overload never panics.
+//!   queue can never grow without bound, and overload never panics. A
+//!   submitter waits for its flight at most the compute deadline
+//!   ([`EngineConfig::wait_timeout`]), then gets [`Submission::TimedOut`]
+//!   (503 + `Retry-After`).
 //!
 //! Completed responses enter a FIFO-bounded response cache keyed by the
 //! same hash, so warm repeats are answered with a map lookup — no queue,
@@ -26,7 +29,7 @@
 //! deterministically holds the queue full to exercise shedding).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -62,11 +65,6 @@ impl Default for EngineConfig {
         }
     }
 }
-
-/// Consecutive pressured queue samples before the server enters brownout
-/// (see [`Engine::sample_pressure`]). A short streak filters out a single
-/// transient burst; sustained pressure trips within a handful of requests.
-const BROWNOUT_AFTER: u64 = 3;
 
 /// An in-flight computation that identical requests wait on.
 #[derive(Debug, Default)]
@@ -131,9 +129,6 @@ pub struct Engine<J> {
     work: Condvar,
     cfg: EngineConfig,
     metrics: Arc<Registry>,
-    /// Consecutive queue samples at or above half capacity — the brownout
-    /// trigger (see [`Engine::sample_pressure`]).
-    pressure_streak: AtomicU64,
 }
 
 impl<J: Send + Sync + 'static> Engine<J> {
@@ -152,7 +147,6 @@ impl<J: Send + Sync + 'static> Engine<J> {
             work: Condvar::new(),
             cfg,
             metrics,
-            pressure_streak: AtomicU64::new(0),
         })
     }
 
@@ -175,33 +169,13 @@ impl<J: Send + Sync + 'static> Engine<J> {
         self.cfg.queue_cap
     }
 
-    /// Samples queue pressure for the brownout decision: one sample per
-    /// routed computational request. Returns `true` once the queue has sat
-    /// at or above half capacity for [`BROWNOUT_AFTER`] consecutive
-    /// samples; any relaxed sample resets the streak. With no load the
-    /// streak never forms, so the normal serving path is byte-inert.
-    pub fn sample_pressure(&self) -> bool {
-        if self.queue_depth() * 2 >= self.cfg.queue_cap.max(1) {
-            self.pressure_streak.fetch_add(1, Ordering::Relaxed) + 1 >= BROWNOUT_AFTER
-        } else {
-            self.pressure_streak.store(0, Ordering::Relaxed);
-            false
-        }
-    }
-
     /// Submits a job keyed by its canonical content hash and blocks until
-    /// it resolves (cache hit, computed, shed, or timed out).
+    /// it resolves (cache hit, computed, shed, or timed out). The flight
+    /// wait is bounded by the compute deadline
+    /// ([`EngineConfig::wait_timeout`]); a submitter that gives up leaves
+    /// the flight computing, so its result still lands in the response
+    /// cache for the retry.
     pub fn submit(&self, key: u64, job: J) -> Submission {
-        self.submit_with_budget(key, job, None)
-    }
-
-    /// [`Engine::submit`] bounded by a propagated deadline budget: the
-    /// flight wait is the smaller of the configured compute deadline and
-    /// the caller's remaining `x-bdc-deadline-ms` budget, so a request
-    /// whose upstream deadline expires stops occupying a connection worker
-    /// the moment its budget runs out (the flight itself keeps computing —
-    /// the result still lands in the response cache for the retry).
-    pub fn submit_with_budget(&self, key: u64, job: J, budget: Option<Duration>) -> Submission {
         let flight = {
             let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
             if st.shutdown {
@@ -226,11 +200,7 @@ impl<J: Send + Sync + 'static> Engine<J> {
                 flight
             }
         };
-        let wait = match budget {
-            Some(b) => self.cfg.wait_timeout.min(b),
-            None => self.cfg.wait_timeout,
-        };
-        match flight.wait(wait) {
+        match flight.wait(self.cfg.wait_timeout) {
             Some(response) => Submission::Done(response),
             None => {
                 self.metrics
@@ -496,6 +466,31 @@ mod tests {
     }
 
     #[test]
+    fn contained_panic_is_retried_before_it_becomes_a_500() {
+        let cfg = EngineConfig {
+            max_retries: 1,
+            ..EngineConfig::default()
+        };
+        let e = engine(cfg);
+        let calls = Arc::new(AtomicU64::new(0));
+        let c = Arc::clone(&calls);
+        // The first execution panics, the retry succeeds: the submitter
+        // must see the recovered 200, never the transient failure.
+        let runner = spawn_runner(&e, move |j| {
+            assert!(c.fetch_add(1, Ordering::SeqCst) != 0, "transient boom");
+            body(j)
+        });
+        match e.submit(13, 13) {
+            Submission::Done(r) => assert_eq!(r.status, 200),
+            _ => panic!("expected Done(200)"),
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(e.metrics().task_retries.load(Ordering::Relaxed), 1);
+        e.shutdown();
+        runner.join().unwrap();
+    }
+
+    #[test]
     fn exhausted_500_is_not_cached_and_recomputes() {
         let cfg = EngineConfig {
             max_retries: 0,
@@ -582,16 +577,27 @@ mod tests {
 
     #[test]
     fn deadline_budget_bounds_the_flight_wait() {
-        let e = engine(EngineConfig::default());
+        let e = engine(EngineConfig {
+            wait_timeout: Duration::from_millis(10),
+            ..EngineConfig::default()
+        });
         let gate = Arc::new(Barrier::new(2));
         let g = Arc::clone(&gate);
         let runner = spawn_runner(&e, move |j| {
             g.wait();
             body(j)
         });
-        // A 10 ms budget against an executor parked on a barrier: the
-        // submission must give up at the budget, not at the 300 s default.
-        let verdict = e.submit_with_budget(5, 5, Some(Duration::from_millis(10)));
+        // A 10 ms compute deadline against an executor parked on a
+        // barrier: the submission must give up at the deadline. It runs on
+        // its own thread so an unbounded wait fails the test instead of
+        // hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let e1 = Arc::clone(&e);
+        let waiter = std::thread::spawn(move || tx.send(e1.submit(5, 5)));
+        let verdict = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the compute deadline must bound the flight wait");
+        assert!(waiter.join().unwrap().is_ok());
         assert!(matches!(verdict, Submission::TimedOut));
         assert_eq!(e.metrics().deadline_expired.load(Ordering::Relaxed), 1);
         // Release the parked executor; its result still lands in the cache
@@ -612,34 +618,6 @@ mod tests {
         }
         e.shutdown();
         runner.join().unwrap();
-    }
-
-    #[test]
-    fn pressure_streak_trips_and_resets() {
-        let e = engine(EngineConfig {
-            queue_cap: 2,
-            ..EngineConfig::default()
-        });
-        // Empty queue: never pressured, streak cannot form.
-        for _ in 0..10 {
-            assert!(!e.sample_pressure());
-        }
-        // Fill the queue past half capacity without a runner draining it.
-        {
-            let mut st = e.state.lock().unwrap();
-            st.queue.push_back((1, 1));
-        }
-        assert!(!e.sample_pressure(), "streak 1 of 3");
-        assert!(!e.sample_pressure(), "streak 2 of 3");
-        assert!(e.sample_pressure(), "streak 3 trips brownout");
-        assert!(e.sample_pressure(), "stays tripped under pressure");
-        // Draining below the threshold resets the streak.
-        {
-            let mut st = e.state.lock().unwrap();
-            st.queue.clear();
-        }
-        assert!(!e.sample_pressure());
-        assert!(!e.sample_pressure(), "streak restarted from zero");
     }
 
     #[test]

@@ -48,11 +48,6 @@ pub struct Request {
     pub body: Vec<u8>,
     /// Whether the client asked to keep the connection open.
     pub keep_alive: bool,
-    /// Remaining request budget from an `x-bdc-deadline-ms` header, if the
-    /// caller propagated one (absent header = no deadline, today's
-    /// behavior). A malformed value is ignored rather than rejected — a
-    /// deadline is advisory quality-of-service metadata, not framing.
-    pub deadline_ms: Option<u64>,
 }
 
 /// Why a request could not be parsed, with the HTTP status that reports it.
@@ -161,7 +156,6 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
     let mut content_length = 0usize;
     // HTTP/1.1 defaults to keep-alive; 1.0 to close.
     let mut keep_alive = version == "HTTP/1.1";
-    let mut deadline_ms = None;
     for n in 0..=MAX_HEADERS {
         let line = match read_line(reader, MAX_HEADER_LINE) {
             Ok(Some(l)) => l,
@@ -195,8 +189,6 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // Chunked bodies are out of scope for this API.
             return Err(ParseError::Bad("transfer-encoding not supported".into()));
-        } else if name.eq_ignore_ascii_case("x-bdc-deadline-ms") {
-            deadline_ms = value.parse::<u64>().ok();
         }
     }
 
@@ -211,7 +203,6 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
         query,
         body,
         keep_alive,
-        deadline_ms,
     })
 }
 
@@ -412,20 +403,6 @@ mod tests {
     #[test]
     fn clean_eof_is_connection_closed() {
         assert_eq!(parse("").unwrap_err(), ParseError::ConnectionClosed);
-    }
-
-    #[test]
-    fn captures_deadline_header_and_ignores_junk() {
-        let r = parse("GET / HTTP/1.1\r\nx-bdc-deadline-ms: 250\r\n\r\n").unwrap();
-        assert_eq!(r.deadline_ms, Some(250));
-        let r = parse("GET / HTTP/1.1\r\nX-BDC-Deadline-Ms: 9\r\n\r\n").unwrap();
-        assert_eq!(r.deadline_ms, Some(9));
-        // Malformed budgets degrade to "no deadline", not a 400: the
-        // header is advisory metadata.
-        let r = parse("GET / HTTP/1.1\r\nx-bdc-deadline-ms: soon\r\n\r\n").unwrap();
-        assert_eq!(r.deadline_ms, None);
-        let r = parse("GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        assert_eq!(r.deadline_ms, None);
     }
 
     #[test]

@@ -215,13 +215,6 @@ pub struct Registry {
     pub task_retries: AtomicU64,
     /// Submissions whose compute deadline expired (answered 503).
     pub deadline_expired: AtomicU64,
-    /// Requests refused at admission because their propagated
-    /// `x-bdc-deadline-ms` budget could not cover the endpoint's observed
-    /// latency (fast 503, never queued).
-    pub deadline_refused: AtomicU64,
-    /// Requests answered from the analytic quick path while the engine was
-    /// in queue-pressure brownout (`x-bdc-degraded` responses).
-    pub brownout_served: AtomicU64,
     /// Uptime (µs) of the most recent fault/retry event; [`NEVER`] when
     /// none has occurred. Drives the `degraded` health state.
     last_fault_us: AtomicU64,
@@ -242,8 +235,6 @@ impl Default for Registry {
             batched_jobs: AtomicU64::new(0),
             task_retries: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            deadline_refused: AtomicU64::new(0),
-            brownout_served: AtomicU64::new(0),
             last_fault_us: AtomicU64::new(NEVER),
         }
     }
@@ -333,8 +324,6 @@ impl Registry {
                     ("queue_cap".into(), Json::Int(queue_cap as i64)),
                     ("task_retries".into(), load(&self.task_retries)),
                     ("deadline_expired".into(), load(&self.deadline_expired)),
-                    ("deadline_refused".into(), load(&self.deadline_refused)),
-                    ("brownout_served".into(), load(&self.brownout_served)),
                 ]),
             ),
             (
@@ -437,11 +426,7 @@ mod tests {
         let engine = snap.get("engine").unwrap();
         assert_eq!(engine.get("queue_cap").and_then(|v| v.as_u64()), Some(64));
         assert_eq!(
-            engine.get("deadline_refused").and_then(|v| v.as_u64()),
-            Some(0)
-        );
-        assert_eq!(
-            engine.get("brownout_served").and_then(|v| v.as_u64()),
+            engine.get("deadline_expired").and_then(|v| v.as_u64()),
             Some(0)
         );
         assert!(snap.get("health").is_some());

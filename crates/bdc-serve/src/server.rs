@@ -331,11 +331,6 @@ fn serve_connection(
     }
 }
 
-/// Observations an endpoint's latency histogram needs before its p95 is
-/// trusted for deadline admission — refusing on one slow cold-start sample
-/// would starve the endpoint of the warm traffic that brings p95 down.
-const DEADLINE_MIN_SAMPLES: u64 = 20;
-
 /// Routes and resolves one request. Exposed for the in-process bench
 /// harness and tests.
 pub fn handle(request: &http::Request, engine: &Engine<api::ApiCall>) -> (Endpoint, Response) {
@@ -366,44 +361,8 @@ pub fn handle(request: &http::Request, engine: &Engine<api::ApiCall>) -> (Endpoi
         Route::Error(endpoint, response) => (endpoint, response),
         Route::Call(call) => {
             let endpoint = call.endpoint();
-            // Deadline admission: a request whose propagated budget cannot
-            // cover this endpoint's observed p95 is refused before it
-            // queues — a fast 503 beats a slow one that still misses the
-            // deadline and wasted a flight. Requests without the header
-            // take the unmodified path (the byte-determinism gate).
-            if let Some(ms) = request.deadline_ms {
-                let stats = engine.metrics().endpoint(endpoint);
-                let hopeless = ms == 0
-                    || (stats.latency.count() >= DEADLINE_MIN_SAMPLES
-                        && stats.latency.quantile_ms(0.95) > ms as f64);
-                if hopeless {
-                    engine
-                        .metrics()
-                        .deadline_refused
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut r = Response::error(503, "deadline budget cannot cover this endpoint");
-                    r.extra_headers
-                        .push(("x-bdc-deadline-refused".into(), "1".into()));
-                    return (endpoint, r);
-                }
-            }
-            // Brownout: under sustained queue pressure, endpoints with an
-            // analytic estimate answer from it instead of joining the
-            // queue — explicitly flagged, never cached.
-            if engine.sample_pressure() {
-                if let Some(mut r) = api::degraded_response(&call) {
-                    engine
-                        .metrics()
-                        .brownout_served
-                        .fetch_add(1, Ordering::Relaxed);
-                    r.extra_headers
-                        .push(("x-bdc-degraded".into(), "brownout".into()));
-                    return (endpoint, r);
-                }
-            }
             let key = call.cache_key();
-            let budget = request.deadline_ms.map(Duration::from_millis);
-            let response = match engine.submit_with_budget(key, call, budget) {
+            let response = match engine.submit(key, call) {
                 Submission::CacheHit(r) | Submission::Done(r) => (*r).clone(),
                 Submission::Shed => {
                     let mut r = Response::error(429, "queue full; retry");
@@ -422,5 +381,47 @@ pub fn handle(request: &http::Request, engine: &Engine<api::ApiCall>) -> (Endpoi
             };
             (endpoint, response)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::Registry;
+
+    fn parse(raw: &str) -> http::Request {
+        http::read_request(&mut raw.as_bytes()).expect("well-formed request")
+    }
+
+    #[test]
+    fn stray_deadline_header_is_ignored() {
+        // Older clients may still send `x-bdc-deadline-ms`; the server no
+        // longer reads it, so a 1 ms "budget" must neither refuse nor time
+        // out the request. The executor sleeps so the cold miss outlasts
+        // that budget, which a deadline-honouring server would have
+        // answered with a 503.
+        let engine: Arc<Engine<api::ApiCall>> =
+            Engine::new(EngineConfig::default(), Arc::new(Registry::default()));
+        let runner = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                engine.run(|call| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    api::execute(call)
+                })
+            })
+        };
+        let path = "/v1/ipc?workload=gzip&outer=5&instructions=4000";
+        let (_, with) = handle(
+            &parse(&format!(
+                "GET {path} HTTP/1.1\r\nx-bdc-deadline-ms: 1\r\n\r\n"
+            )),
+            &engine,
+        );
+        let (_, without) = handle(&parse(&format!("GET {path} HTTP/1.1\r\n\r\n")), &engine);
+        assert_eq!(with.status, 200);
+        assert_eq!(with.to_bytes(true), without.to_bytes(true));
+        engine.shutdown();
+        runner.join().unwrap();
     }
 }
