@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bdc_cells::{CellLibrary, ProcessKind};
+use bdc_cells::{CellLibrary, Process};
 use bdc_circuit::{Circuit, DcSolver};
 use bdc_device::{DeviceModel, Level61Model, TftParams};
 use bdc_synth::blocks;
@@ -46,7 +46,7 @@ fn bench_dc_solver(c: &mut Criterion) {
 }
 
 fn bench_sta(c: &mut Criterion) {
-    let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 12.0e-12);
+    let lib = CellLibrary::synthetic(Process::Silicon, 12.0e-12);
     let mult = blocks::array_multiplier(32);
     let cfg = StaConfig::default();
     c.bench_function("synth/sta_mult32", |b| {

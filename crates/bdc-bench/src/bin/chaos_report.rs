@@ -17,7 +17,6 @@
 //! the unfaulted flow.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use bdc_core::registry::{self, NODES};
 use bdc_exec::faults::{self, FaultConfig, FaultCounters};
@@ -70,24 +69,21 @@ struct Survival {
 }
 
 fn levels() -> Vec<Level> {
-    let mk =
-        |label, cache_corrupt, task_panic, io_slow_ms, disk_full, peer_slow_ms, partition| Level {
-            label,
-            cfg: FaultConfig {
-                cache_corrupt,
-                task_panic,
-                io_slow: Duration::from_millis(io_slow_ms),
-                disk_full,
-                peer_slow: Duration::from_millis(peer_slow_ms),
-                partition,
-                seed: CHAOS_SEED,
-            },
-        };
+    let mk = |label, cache_corrupt, task_panic, disk_full, partition| Level {
+        label,
+        cfg: FaultConfig {
+            cache_corrupt,
+            task_panic,
+            disk_full,
+            partition,
+            seed: CHAOS_SEED,
+        },
+    };
     vec![
-        mk("none", 0.0, 0.0, 0, 0.0, 0, 0.0),
-        mk("light", 0.05, 0.02, 2, 0.02, 2, 0.01),
-        mk("moderate", 0.2, 0.1, 5, 0.1, 5, 0.05),
-        mk("heavy", 0.5, 0.25, 10, 0.25, 10, 0.1),
+        mk("none", 0.0, 0.0, 0.0, 0.0),
+        mk("light", 0.05, 0.02, 0.02, 0.01),
+        mk("moderate", 0.2, 0.1, 0.1, 0.05),
+        mk("heavy", 0.5, 0.25, 0.25, 0.1),
     ]
 }
 
@@ -277,10 +273,8 @@ fn inert_level_is_clean(s: &Survival) -> bool {
     let f = &s.faults;
     let flat = f.injected_corrupt == 0
         && f.injected_panics == 0
-        && f.io_delays == 0
         && f.panics_contained == 0
         && f.injected_disk_full == 0
-        && f.peer_slow_delays == 0
         && f.injected_partitions == 0;
     // The cluster burst kills a shard even at the inert level, so its
     // health is `degraded` by design — but failover must make the kill

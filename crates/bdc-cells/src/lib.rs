@@ -10,10 +10,11 @@
 //! netlists into the look-up-table timing libraries consumed by synthesis.
 //!
 //! The paper's library has six cells: INV, NAND2, NAND3, NOR2, NOR3 and a
-//! D-flip-flop with preset and clear. [`CellLibrary::organic_pentacene`]
-//! builds and characterizes the organic version;
-//! [`CellLibrary::silicon_45nm`] builds the reduced 6-cell silicon
-//! comparison library through exactly the same flow.
+//! D-flip-flop with preset and clear. Each process is one [`Technology`]
+//! value ([`Process::tech`]): [`Technology::build_cell`] characterizes a
+//! cell and [`Technology::assemble`] folds the five combinational cells
+//! into the library, so the organic library and the reduced 6-cell
+//! silicon comparison library go through exactly the same code.
 
 pub mod characterize;
 pub mod dff_sim;
@@ -22,6 +23,7 @@ pub mod liberty;
 pub mod library;
 pub mod nldm;
 pub mod sizing;
+pub mod technology;
 pub mod topology;
 pub(crate) mod tracker;
 pub mod wire;
@@ -34,12 +36,10 @@ pub use dynamic::{
     characterize_dynamic, characterize_dynamic_loads, organic_dynamic_gate, DynamicTiming,
 };
 pub use liberty::{parse_library, write_library, LibertyError};
-pub use library::{
-    assemble_organic_library, assemble_silicon_library, build_organic_cell, build_silicon_cell,
-    parse_cell_text, write_cell_text, Cell, CellKind, CellLibrary, DffTiming, ProcessKind,
-};
+pub use library::{parse_cell_text, write_cell_text, Cell, CellKind, CellLibrary, DffTiming};
 pub use nldm::NldmTable;
 pub use sizing::{evaluate_sizing, explore_inverter_sizing, SizingCandidate, Utility};
+pub use technology::{BitCell, CellRecipe, ParamOverlay, Process, SyntheticConstants, Technology};
 pub use topology::{
     cmos_gate, organic_gate, organic_gate_shifted, organic_inverter, organic_inverter_aged,
     organic_inverter_shifted, GateCircuit, LogicKind, OrganicSizing, OrganicStyle,

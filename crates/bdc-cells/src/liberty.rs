@@ -9,8 +9,9 @@
 use std::fmt::Write as _;
 
 use crate::characterize::GateTiming;
-use crate::library::{Cell, CellKind, CellLibrary, DffTiming, ProcessKind};
+use crate::library::{Cell, CellKind, CellLibrary, DffTiming};
 use crate::nldm::NldmTable;
+use crate::technology::Process;
 use crate::wire::WireModel;
 
 /// Errors raised while parsing a library file.
@@ -42,14 +43,7 @@ impl std::error::Error for LibertyError {}
 pub fn write_library(lib: &CellLibrary) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "library {}", lib.name);
-    let _ = writeln!(
-        s,
-        "process {}",
-        match lib.process {
-            ProcessKind::Organic => "organic",
-            ProcessKind::Silicon45 => "silicon45",
-        }
-    );
+    let _ = writeln!(s, "process {}", lib.process.tech().liberty_tag);
     let _ = writeln!(s, "vdd {:e}", lib.vdd);
     let _ = writeln!(s, "vss {:e}", lib.vss);
     let rep = lib
@@ -127,11 +121,13 @@ pub fn parse_library(text: &str) -> Result<CellLibrary, LibertyError> {
         match key {
             "library" => name = Some(tok.collect::<Vec<_>>().join(" ")),
             "process" => {
-                process = Some(match tok.next() {
-                    Some("organic") => ProcessKind::Organic,
-                    Some("silicon45") => ProcessKind::Silicon45,
-                    other => return Err(err(ln, &format!("unknown process {other:?}"))),
-                })
+                let tag = tok.next();
+                process = Some(
+                    Process::both()
+                        .into_iter()
+                        .find(|p| Some(p.tech().liberty_tag) == tag)
+                        .ok_or_else(|| err(ln, &format!("unknown process {tag:?}")))?,
+                )
             }
             "vdd" => vdd = Some(parse_f64(tok.next(), ln)?),
             "vss" => vss = Some(parse_f64(tok.next(), ln)?),
@@ -301,7 +297,7 @@ mod tests {
 
     #[test]
     fn round_trip_synthetic_library() {
-        let lib = CellLibrary::synthetic(ProcessKind::Organic, 1.1e-4);
+        let lib = CellLibrary::synthetic(Process::Organic, 1.1e-4);
         let text = write_library(&lib);
         let back = parse_library(&text).expect("parse");
         assert_eq!(back.name, lib.name);
@@ -321,7 +317,7 @@ mod tests {
 
     #[test]
     fn round_trip_silicon_flavor() {
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 1.4e-11);
+        let lib = CellLibrary::synthetic(Process::Silicon, 1.4e-11);
         let back = parse_library(&write_library(&lib)).expect("parse");
         assert_eq!(back.wire.repeated_s_per_m, lib.wire.repeated_s_per_m);
         assert_eq!(
@@ -344,7 +340,7 @@ mod tests {
 
     #[test]
     fn parse_reports_missing_cells() {
-        let lib = CellLibrary::synthetic(ProcessKind::Organic, 1.0);
+        let lib = CellLibrary::synthetic(Process::Organic, 1.0);
         let mut text = write_library(&lib);
         // Drop the last cell block.
         let idx = text.rfind("cell ").unwrap();

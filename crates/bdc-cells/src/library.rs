@@ -9,13 +9,11 @@
 //! VDD = 5 V, VSS = −15 V); the silicon library is the reduced 6-cell 45 nm
 //! comparison library of §5.1, characterized through the same flow.
 
-use crate::characterize::{
-    characterize_gate, measure_static_power, CharacterizeConfig, GateTiming,
-};
+use crate::characterize::GateTiming;
 use crate::nldm::NldmTable;
-use crate::topology::{cmos_gate, organic_gate_shifted, GateCircuit, LogicKind, OrganicSizing};
+use crate::technology::Process;
+use crate::topology::LogicKind;
 use crate::wire::WireModel;
-use bdc_circuit::CircuitError;
 
 /// The six cell kinds of the paper's library.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,6 +57,17 @@ impl CellKind {
         }
     }
 
+    /// The cell implementing a logic function.
+    pub fn from_logic(kind: LogicKind) -> CellKind {
+        match kind {
+            LogicKind::Inv => CellKind::Inv,
+            LogicKind::Nand2 => CellKind::Nand2,
+            LogicKind::Nand3 => CellKind::Nand3,
+            LogicKind::Nor2 => CellKind::Nor2,
+            LogicKind::Nor3 => CellKind::Nor3,
+        }
+    }
+
     /// Canonical lowercase name.
     pub fn name(self) -> &'static str {
         match self {
@@ -75,15 +84,6 @@ impl CellKind {
     pub fn from_name(s: &str) -> Option<CellKind> {
         CellKind::all().into_iter().find(|k| k.name() == s)
     }
-}
-
-/// Which process a library models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProcessKind {
-    /// Pentacene OTFT, unipolar p-type pseudo-E logic.
-    Organic,
-    /// 45 nm-class bulk CMOS (the reduced comparison library).
-    Silicon45,
 }
 
 /// One characterized cell.
@@ -121,7 +121,7 @@ pub struct CellLibrary {
     /// Human-readable name.
     pub name: String,
     /// Process this library models.
-    pub process: ProcessKind,
+    pub process: Process,
     /// Supply voltage (V).
     pub vdd: f64,
     /// Negative bias rail (V); 0 for CMOS.
@@ -140,7 +140,7 @@ impl CellLibrary {
     /// Panics unless exactly the six [`CellKind`]s are present once each.
     pub fn from_cells(
         name: impl Into<String>,
-        process: ProcessKind,
+        process: Process,
         vdd: f64,
         vss: f64,
         wire: WireModel,
@@ -249,10 +249,7 @@ impl CellLibrary {
         let mut h = Fnv(OFFSET);
         h.bytes(b"bdc-libfp-v1");
         h.bytes(self.name.as_bytes());
-        h.bytes(match self.process {
-            ProcessKind::Organic => b"organic",
-            ProcessKind::Silicon45 => b"silicon",
-        });
+        h.bytes(self.process.name().as_bytes());
         h.f64(self.vdd);
         h.f64(self.vss);
         h.f64(self.wire.r_per_m);
@@ -286,21 +283,16 @@ impl CellLibrary {
     ///
     /// `gate_delay` sets the inverter delay (s); other cells scale from it
     /// with typical ratios. The wire model still matches the process.
-    pub fn synthetic(process: ProcessKind, gate_delay: f64) -> Self {
-        let (vdd, vss, wire, cap_scale, area_scale) = match process {
-            ProcessKind::Organic => (5.0, -15.0, WireModel::organic(), 250.0e-12, 8.5e5),
-            ProcessKind::Silicon45 => (1.0, 0.0, WireModel::silicon_45nm(), 1.5e-15, 1.0),
-        };
-        let leak = match process {
-            ProcessKind::Organic => 15.0e-6,
-            ProcessKind::Silicon45 => 60.0e-9,
-        };
+    pub fn synthetic(process: Process, gate_delay: f64) -> Self {
+        let tech = process.tech();
+        let k = tech.synthetic;
+        let vdd = tech.vdd;
         let mk = |kind: CellKind, d: f64, area: f64, cap: f64| Cell {
             kind,
-            area: area * area_scale,
-            input_cap: cap * cap_scale,
-            leakage_w: leak * d,
-            switching_energy: 2.0 * cap * cap_scale * vdd * vdd,
+            area: area * k.area_scale,
+            input_cap: cap * k.cap_scale,
+            leakage_w: k.leakage_w * d,
+            switching_energy: 2.0 * cap * k.cap_scale * vdd * vdd,
             timing: GateTiming {
                 delay_rise: NldmTable::constant(d * gate_delay),
                 delay_fall: NldmTable::constant(d * gate_delay * 1.15),
@@ -313,239 +305,15 @@ impl CellLibrary {
             mk(CellKind::Nand3, 1.9, 1.9, 1.9),
             mk(CellKind::Nor2, 1.5, 1.4, 1.4),
             mk(CellKind::Nor3, 2.1, 1.9, 1.9),
-            mk(
-                CellKind::Dff,
-                3.4,
-                if matches!(process, ProcessKind::Organic) {
-                    11.2
-                } else {
-                    5.9
-                },
-                1.4,
-            ),
+            mk(CellKind::Dff, 3.4, k.dff_area, 1.4),
         ];
         let dff = DffTiming {
             setup: 2.8 * gate_delay,
             hold: 0.4 * gate_delay,
             clk_to_q: 3.1 * gate_delay,
         };
-        CellLibrary::from_cells(
-            format!("synthetic-{process:?}"),
-            process,
-            vdd,
-            vss,
-            wire,
-            dff,
-            cells,
-        )
+        CellLibrary::from_cells(k.name, process, vdd, tech.vss, tech.wire, dff, cells)
     }
-
-    /// Builds and characterizes the organic pentacene library at the
-    /// paper's operating point (VDD = 5 V, VSS = −15 V, §4.3.3).
-    ///
-    /// # Errors
-    /// Propagates characterization failures.
-    pub fn organic_pentacene() -> Result<Self, CircuitError> {
-        Self::organic_at(5.0, -15.0)
-    }
-
-    /// Organic library at explicit rails (the VDD sweep of Figure 7 uses
-    /// this).
-    ///
-    /// # Errors
-    /// Propagates characterization failures.
-    pub fn organic_at(vdd: f64, vss: f64) -> Result<Self, CircuitError> {
-        Self::organic_at_shifted(vdd, vss, 0.0)
-    }
-
-    /// Organic library with a global threshold-voltage shift `delta_vt`
-    /// (V) on every transistor — the library-level entry point of the
-    /// `bdc sweep` parameter machinery. `delta_vt = 0.0` is bit-identical
-    /// to [`CellLibrary::organic_at`].
-    ///
-    /// # Errors
-    /// Propagates characterization failures.
-    pub fn organic_at_shifted(vdd: f64, vss: f64, delta_vt: f64) -> Result<Self, CircuitError> {
-        let sizing = OrganicSizing::library_default();
-        let cfg = CharacterizeConfig::organic();
-        let mut cells = Vec::new();
-        for kind in LogicKind::all() {
-            cells.push(build_organic_cell(kind, &sizing, vdd, vss, delta_vt, &cfg)?);
-        }
-        Ok(assemble_organic_library(cells, vdd, vss))
-    }
-
-    /// Builds and characterizes the reduced 6-cell 45 nm silicon library.
-    ///
-    /// # Errors
-    /// Propagates characterization failures.
-    pub fn silicon_45nm() -> Result<Self, CircuitError> {
-        let vdd = 1.0;
-        let cfg = CharacterizeConfig::silicon();
-        let mut cells = Vec::new();
-        for kind in LogicKind::all() {
-            cells.push(build_silicon_cell(kind, 450.0e-9, vdd, &cfg)?);
-        }
-        Ok(assemble_silicon_library(cells, vdd))
-    }
-}
-
-/// Characterizes one organic pseudo-E cell — the per-cell unit of the
-/// stage cache. Callers that cache per cell build each combinational cell
-/// independently (possibly loading siblings from cache) and then fold them
-/// through [`assemble_organic_library`]; the result is bit-identical to
-/// [`CellLibrary::organic_at_shifted`], which is this loop inlined.
-///
-/// # Errors
-/// Propagates characterization failures.
-pub fn build_organic_cell(
-    kind: LogicKind,
-    sizing: &OrganicSizing,
-    vdd: f64,
-    vss: f64,
-    delta_vt: f64,
-    cfg: &CharacterizeConfig,
-) -> Result<Cell, CircuitError> {
-    let gate = organic_gate_shifted(kind, sizing, vdd, vss, delta_vt);
-    let timing = characterize_gate(&gate, cfg)?;
-    let leakage_w = measure_static_power(&gate)?;
-    Ok(Cell {
-        kind: logic_to_cell(kind),
-        area: organic_gate_area(&gate),
-        input_cap: gate.input_cap,
-        leakage_w,
-        switching_energy: 2.0 * gate.input_cap * vdd * vdd,
-        timing,
-    })
-}
-
-/// Characterizes one silicon CMOS cell (per-cell stage-cache unit; see
-/// [`build_organic_cell`]).
-///
-/// # Errors
-/// Propagates characterization failures.
-pub fn build_silicon_cell(
-    kind: LogicKind,
-    l: f64,
-    vdd: f64,
-    cfg: &CharacterizeConfig,
-) -> Result<Cell, CircuitError> {
-    let gate = cmos_gate(kind, l, vdd);
-    let timing = characterize_gate(&gate, cfg)?;
-    let leakage_w = measure_static_power(&gate)?;
-    Ok(Cell {
-        kind: logic_to_cell(kind),
-        area: silicon_gate_area(kind),
-        input_cap: gate.input_cap,
-        leakage_w,
-        switching_energy: 2.0 * gate.input_cap * vdd * vdd,
-        timing,
-    })
-}
-
-/// Folds the five characterized combinational organic cells into the full
-/// library: derives the DFF from the NAND2 and attaches rails, wire model
-/// and name. `cells` must be the five combinational cells in
-/// [`LogicKind::all`] order.
-pub fn assemble_organic_library(mut cells: Vec<Cell>, vdd: f64, vss: f64) -> CellLibrary {
-    let (dff_cell, dff) = derive_dff(&cells, 8.0);
-    cells.push(dff_cell);
-    CellLibrary::from_cells(
-        "pentacene-pseudoE",
-        ProcessKind::Organic,
-        vdd,
-        vss,
-        WireModel::organic(),
-        dff,
-        cells,
-    )
-}
-
-/// Folds the five characterized combinational silicon cells into the full
-/// library (see [`assemble_organic_library`]).
-pub fn assemble_silicon_library(mut cells: Vec<Cell>, vdd: f64) -> CellLibrary {
-    let (dff_cell, dff) = derive_dff(&cells, 4.2);
-    cells.push(dff_cell);
-    CellLibrary::from_cells(
-        "reduced-45nm",
-        ProcessKind::Silicon45,
-        vdd,
-        0.0,
-        WireModel::silicon_45nm(),
-        dff,
-        cells,
-    )
-}
-
-fn logic_to_cell(kind: LogicKind) -> CellKind {
-    match kind {
-        LogicKind::Inv => CellKind::Inv,
-        LogicKind::Nand2 => CellKind::Nand2,
-        LogicKind::Nand3 => CellKind::Nand3,
-        LogicKind::Nor2 => CellKind::Nor2,
-        LogicKind::Nor3 => CellKind::Nor3,
-    }
-}
-
-/// Area of an organic cell (µm²): every transistor occupies
-/// (W + routing margin) × (L + 2·overlap + margin), shadow-mask rules.
-fn organic_gate_area(gate: &GateCircuit) -> f64 {
-    // Reconstruct widths is awkward post-hoc; approximate from transistor
-    // count and input structure: the pseudo-E cells are dominated by their
-    // output stage. Margins per shadow-mask alignment: 40 µm each side.
-    let um = 1.0e6;
-    let l_eff = (crate::topology::ORGANIC_CHANNEL_L * um) + 2.0 * 20.0 + 60.0;
-    // Average drawn width across the cell's transistors (library default
-    // sizing): (400 + 100 + 1000 + 500)/4 = 500 µm.
-    let w_avg = 500.0 + 80.0;
-    gate.transistor_count as f64 * w_avg * l_eff
-}
-
-/// Area of a silicon cell (µm²), standard-cell track estimates at 45 nm.
-fn silicon_gate_area(kind: LogicKind) -> f64 {
-    match kind {
-        LogicKind::Inv => 1.0,
-        LogicKind::Nand2 | LogicKind::Nor2 => 1.4,
-        LogicKind::Nand3 | LogicKind::Nor3 => 1.9,
-    }
-}
-
-/// Derives the DFF cell from the characterized NAND2: the flip-flop is the
-/// classic 6-NAND edge-triggered structure with preset/clear, so its timing
-/// and area are NAND multiples. `area_factor` is the DFF/NAND2 area ratio
-/// (larger in the organic process, where each pseudo-E gate carries a
-/// level-shifter stage and registers cannot share it).
-fn derive_dff(cells: &[Cell], area_factor: f64) -> (Cell, DffTiming) {
-    let nand2 = cells
-        .iter()
-        .find(|c| c.kind == CellKind::Nand2)
-        .expect("nand2 characterized");
-    let slews = nand2.timing.delay_rise.slews();
-    let mid_slew = slews[slews.len() / 2];
-    let d_nom = nand2
-        .timing
-        .delay_worst()
-        .lookup(mid_slew, 2.0 * nand2.input_cap);
-    let dff = DffTiming {
-        setup: 2.0 * d_nom,
-        hold: 0.3 * d_nom,
-        clk_to_q: 2.2 * d_nom,
-    };
-    // clk→Q arc: two internal NAND stages, load-dependent like the NAND.
-    let timing = GateTiming {
-        delay_rise: nand2.timing.delay_rise.map(|d| d + 1.2 * d_nom),
-        delay_fall: nand2.timing.delay_fall.map(|d| d + 1.2 * d_nom),
-        out_slew: nand2.timing.out_slew.clone(),
-    };
-    let cell = Cell {
-        kind: CellKind::Dff,
-        area: nand2.area * area_factor,
-        input_cap: nand2.input_cap,
-        leakage_w: nand2.leakage_w * 0.75 * area_factor,
-        switching_energy: nand2.switching_energy * 2.0,
-        timing,
-    };
-    (cell, dff)
 }
 
 // ---------------------------------------------------------------------------
@@ -715,7 +483,7 @@ mod tests {
 
     #[test]
     fn library_lookup_and_fo4() {
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-12);
+        let lib = CellLibrary::synthetic(Process::Silicon, 1.0e-12);
         assert_eq!(lib.cell(CellKind::Nand3).kind, CellKind::Nand3);
         // Constant tables → fo4 = worst-case inv delay = 1.15 ps.
         assert!((lib.fo4_delay() - 1.15e-12).abs() < 1e-17);
@@ -724,8 +492,8 @@ mod tests {
 
     #[test]
     fn synthetic_processes_differ_where_they_should() {
-        let org = CellLibrary::synthetic(ProcessKind::Organic, 1.0e-4);
-        let si = CellLibrary::synthetic(ProcessKind::Silicon45, 1.5e-11);
+        let org = CellLibrary::synthetic(Process::Organic, 1.0e-4);
+        let si = CellLibrary::synthetic(Process::Silicon, 1.5e-11);
         assert!(org.cell(CellKind::Inv).input_cap > 1.0e4 * si.cell(CellKind::Inv).input_cap);
         // Organic DFF is relatively larger vs its NAND2 than silicon's.
         let r_org = org.cell(CellKind::Dff).area / org.cell(CellKind::Nand2).area;
@@ -739,24 +507,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly six cells")]
     fn from_cells_rejects_wrong_count() {
-        let lib = CellLibrary::synthetic(ProcessKind::Organic, 1.0);
+        let lib = CellLibrary::synthetic(Process::Organic, 1.0);
         let mut cells = lib.cells().to_vec();
         cells.pop();
         let dff = lib.dff;
-        let _ = CellLibrary::from_cells(
-            "bad",
-            ProcessKind::Organic,
-            5.0,
-            -15.0,
-            lib.wire,
-            dff,
-            cells,
-        );
+        let _ = CellLibrary::from_cells("bad", Process::Organic, 5.0, -15.0, lib.wire, dff, cells);
     }
 
     #[test]
     fn with_wire_swaps_model() {
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 1.0);
+        let lib = CellLibrary::synthetic(Process::Silicon, 1.0);
         let lib = lib.with_wire(WireModel::ideal());
         assert_eq!(lib.wire.delay(1.0, 1.0e3), 0.0);
     }

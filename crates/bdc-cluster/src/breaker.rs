@@ -275,7 +275,10 @@ mod tests {
         for _ in 0..4 {
             b.record(false, true, 5);
         }
-        while b.decide() != BreakerDecision::Probe {}
+        // An open breaker probes within its bypass budget; a bounded loop
+        // turns a breaker that never probes into a failure, not a hang.
+        let probed = (0..=b.cfg.probe_after).any(|_| b.decide() == BreakerDecision::Probe);
+        assert!(probed, "no probe within the bypass budget");
         assert!(b.record(true, true, 5));
         assert_eq!(b.snapshot().state, "open");
         assert_eq!(b.snapshot().opened_total, 2);

@@ -241,10 +241,7 @@ pub fn synthesize_core(kit: &TechKit, spec: &CoreSpec) -> SynthesizedCore {
     // L1 caches, predictor tables, physical register file, IQ/ROB/LSQ
     // payload. Silicon uses 6T SRAM bit cells; the organic process has no
     // dense SRAM and stores bits in compact latches.
-    let bit_area = match kit.process {
-        crate::Process::Silicon => 0.5,
-        crate::Process::Organic => kit.lib.cell(CellKind::Dff).area / 3.0,
-    };
+    let bit_area = kit.process.tech().bit_area(&kit.lib);
     let cache_bits = 2.0 * 8.0 * 1024.0 * 8.0 * 1.1; // two 8 KiB L1s + tags
     let pred_bits = (512 * 52 + 4096 * 2) as f64; // BTB + PHT
     let regfile_bits = 64.0 * 32.0 * (1.0 + 0.25 * (spec.be_pipes as f64 - 3.0));

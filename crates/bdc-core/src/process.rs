@@ -3,10 +3,7 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use bdc_cells::{
-    build_organic_cell, build_silicon_cell, Cell, CellLibrary, CharacterizeConfig, LogicKind,
-    OrganicSizing, ProcessKind, WireModel,
-};
+use bdc_cells::{Cell, CellLibrary, LogicKind, WireModel};
 use bdc_circuit::CircuitError;
 use bdc_exec::{cached, note_stage, ArtifactCache, MemoTable};
 use bdc_synth::pipeline::PipelineOptions;
@@ -14,37 +11,7 @@ use bdc_synth::sta::StaConfig;
 
 use crate::stage::{self, ParamOverlay};
 
-/// The two processes the paper compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Process {
-    /// Pentacene OTFT, pseudo-E unipolar p-type logic.
-    Organic,
-    /// 45 nm-class silicon CMOS (reduced 6-cell library).
-    Silicon,
-}
-
-impl Process {
-    /// Both processes, organic first.
-    pub fn both() -> [Process; 2] {
-        [Process::Organic, Process::Silicon]
-    }
-
-    /// Display name used in figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            Process::Organic => "organic",
-            Process::Silicon => "silicon",
-        }
-    }
-
-    /// The library-level process kind this flow process characterizes.
-    pub fn kind(self) -> ProcessKind {
-        match self {
-            Process::Organic => ProcessKind::Organic,
-            Process::Silicon => ProcessKind::Silicon45,
-        }
-    }
-}
+pub use bdc_cells::Process;
 
 /// The `(name, key)` pair under which [`TechKit::load_or_build`] caches a
 /// process's characterized library — the address a cluster peer fetch or a
@@ -99,10 +66,7 @@ impl TechKit {
     /// # Errors
     /// Propagates characterization failures.
     pub fn build(process: Process) -> Result<TechKit, CircuitError> {
-        let lib = match process {
-            Process::Organic => CellLibrary::organic_pentacene()?,
-            Process::Silicon => CellLibrary::silicon_45nm()?,
-        };
+        let lib = build_library(process, &ParamOverlay::default(), false)?;
         Ok(Self::with_library(process, lib))
     }
 
@@ -168,14 +132,10 @@ impl TechKit {
             let decode = |text: &str| {
                 bdc_cells::parse_library(text)
                     .ok()
-                    .filter(|lib| lib.process == process.kind())
+                    .filter(|lib| lib.process == process)
             };
             let lib = cached(&name, key, decode, bdc_cells::write_library, || {
-                let cells = load_or_build_cells(process, overlay)?;
-                Ok(match process {
-                    Process::Organic => bdc_cells::assemble_organic_library(cells, 5.0, -15.0),
-                    Process::Silicon => bdc_cells::assemble_silicon_library(cells, 1.0),
-                })
+                build_library(process, overlay, true)
             })?;
             Ok(Self::with_library(process, lib))
         };
@@ -203,10 +163,7 @@ impl TechKit {
     /// A fast, simulation-free kit (synthetic constant-delay library with
     /// the right orders of magnitude) for unit tests.
     pub fn synthetic(process: Process) -> TechKit {
-        let lib = match process {
-            Process::Organic => CellLibrary::synthetic(ProcessKind::Organic, 6.5e-4),
-            Process::Silicon => CellLibrary::synthetic(ProcessKind::Silicon45, 8.0e-12),
-        };
+        let lib = CellLibrary::synthetic(process, process.tech().synthetic.gate_delay);
         Self::with_library(process, lib)
     }
 
@@ -218,37 +175,34 @@ impl TechKit {
     }
 }
 
-/// Loads each of the five combinational cells from the stage cache, or
-/// characterizes the misses, in [`LogicKind::all`] order — the serial
-/// loop [`CellLibrary::organic_at_shifted`] runs, with a per-cell memo
-/// spliced between topology and characterization. Characterization
-/// itself is internally parallel (the batch kernel), so cell-level
-/// serialism costs nothing and keeps assembly order bit-stable.
-fn load_or_build_cells(
+/// Characterizes the five combinational cells in [`LogicKind::all`]
+/// order and assembles the library. With `store`, each cell is first
+/// looked up in the stage cache under its own key and only the misses
+/// are characterized; without it ([`TechKit::build`]) every cell is
+/// characterized. Characterization itself is internally parallel (the
+/// batch kernel), so cell-level serialism costs nothing and keeps
+/// assembly order bit-stable.
+fn build_library(
     process: Process,
     overlay: &ParamOverlay,
-) -> Result<Vec<Cell>, CircuitError> {
-    let sizing = OrganicSizing::library_default();
-    let cfg = match process {
-        Process::Organic => CharacterizeConfig::organic(),
-        Process::Silicon => CharacterizeConfig::silicon(),
-    };
-    let mut cells = Vec::new();
-    for kind in LogicKind::all() {
-        let (name, key) = stage::cell_artifact(process, kind, overlay);
-        let decode = |text: &str| {
-            bdc_cells::parse_cell_text(text).filter(|cell| cell.kind.logic() == Some(kind))
-        };
-        let build = || match process {
-            Process::Organic => {
-                build_organic_cell(kind, &sizing, 5.0, -15.0, overlay.organic_delta_vt, &cfg)
+    store: bool,
+) -> Result<CellLibrary, CircuitError> {
+    let tech = process.tech();
+    let cells = LogicKind::all()
+        .into_iter()
+        .map(|kind| {
+            let build = || tech.build_cell(kind, overlay);
+            if !store {
+                return build();
             }
-            Process::Silicon => build_silicon_cell(kind, 450.0e-9, 1.0, &cfg),
-        };
-        let cell = cached(&name, key, decode, bdc_cells::write_cell_text, build)?;
-        cells.push(cell);
-    }
-    Ok(cells)
+            let (name, key) = stage::cell_artifact(process, kind, overlay);
+            let decode = |text: &str| {
+                bdc_cells::parse_cell_text(text).filter(|cell| cell.kind.logic() == Some(kind))
+            };
+            cached(&name, key, decode, bdc_cells::write_cell_text, build)
+        })
+        .collect::<Result<Vec<Cell>, _>>()?;
+    Ok(tech.assemble(cells))
 }
 
 /// Returns a lazily characterized, process-wide shared kit. The expensive
@@ -259,13 +213,9 @@ fn load_or_build_cells(
 /// # Panics
 /// Panics if characterization fails (deterministic; covered by tests).
 pub fn shared_kit(process: Process) -> &'static TechKit {
-    static ORGANIC: OnceLock<TechKit> = OnceLock::new();
-    static SILICON: OnceLock<TechKit> = OnceLock::new();
-    let cell = match process {
-        Process::Organic => &ORGANIC,
-        Process::Silicon => &SILICON,
-    };
-    cell.get_or_init(|| TechKit::load_or_build(process).expect("library characterization"))
+    static KITS: [OnceLock<TechKit>; 2] = [OnceLock::new(), OnceLock::new()];
+    KITS[process.index()]
+        .get_or_init(|| TechKit::load_or_build(process).expect("library characterization"))
 }
 
 #[cfg(test)]

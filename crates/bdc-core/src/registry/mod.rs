@@ -360,31 +360,24 @@ impl RunCtx {
     /// The characterized kit for `p`, built (or cache-loaded) on first use
     /// at this context's parameter point.
     pub fn kit(&self, p: Process) -> Result<&TechKit, String> {
-        let (slot, seen) = match p {
-            Process::Organic => (&self.kits[0], &self.observed[0]),
-            Process::Silicon => (&self.kits[1], &self.observed[1]),
-        };
-        seen.store(true, Ordering::Relaxed);
-        slot.get_or_init(|| {
-            TechKit::load_or_build_with(p, &self.overlay)
-                .map_err(|e| format!("characterization ({}): {e:?}", p.name()))
-        })
-        .as_ref()
-        .map_err(Clone::clone)
+        self.observed[p.index()].store(true, Ordering::Relaxed);
+        self.kits[p.index()]
+            .get_or_init(|| {
+                TechKit::load_or_build_with(p, &self.overlay)
+                    .map_err(|e| format!("characterization ({}): {e:?}", p.name()))
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Which library kits [`RunCtx::kit`] has been asked for so far — the
     /// observed side of the declared-vs-observed dependency audit
     /// ([`audit_node_deps`]).
     pub fn observed_deps(&self) -> Vec<Process> {
-        let mut out = Vec::new();
-        if self.observed[0].load(Ordering::Relaxed) {
-            out.push(Process::Organic);
-        }
-        if self.observed[1].load(Ordering::Relaxed) {
-            out.push(Process::Silicon);
-        }
-        out
+        Process::both()
+            .into_iter()
+            .filter(|p| self.observed[p.index()].load(Ordering::Relaxed))
+            .collect()
     }
 }
 
@@ -754,7 +747,6 @@ pub fn fault_counters_json(c: &faults::FaultCounters) -> Json {
             "injected_panics".into(),
             Json::Int(c.injected_panics as i64),
         ),
-        ("io_delays".into(), Json::Int(c.io_delays as i64)),
         ("retries".into(), Json::Int(c.retries as i64)),
         (
             "panics_contained".into(),
@@ -768,10 +760,6 @@ pub fn fault_counters_json(c: &faults::FaultCounters) -> Json {
         (
             "injected_disk_full".into(),
             Json::Int(c.injected_disk_full as i64),
-        ),
-        (
-            "peer_slow_delays".into(),
-            Json::Int(c.peer_slow_delays as i64),
         ),
         (
             "injected_partitions".into(),
@@ -909,7 +897,6 @@ mod tests {
         for field in [
             "injected_corrupt",
             "injected_panics",
-            "io_delays",
             "retries",
             "panics_contained",
             "quarantined",
@@ -918,7 +905,6 @@ mod tests {
             "peer_misses",
             "peer_pushes",
             "injected_disk_full",
-            "peer_slow_delays",
             "injected_partitions",
             "evicted",
             "quarantine_reaped",

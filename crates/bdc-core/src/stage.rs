@@ -29,98 +29,45 @@
 //! The [`synth_stage_key`] here is the graph-level view of the same
 //! stage, used for sensitivity proofs.
 
-use bdc_cells::{CellKind, CharacterizeConfig, LogicKind, OrganicSizing};
+use bdc_cells::{CellKind, CellRecipe, LogicKind, Technology};
 use bdc_device::TftParams;
 use bdc_exec::fnv1a;
 
 use crate::process::Process;
 
-/// A point in parameter space: the deltas a sweep applies on top of the
-/// nominal device models. Flows through function arguments and cache
-/// keys — never through the environment — so every artifact produced
-/// under an overlay is addressed by it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParamOverlay {
-    /// Threshold-voltage shift (V) added to every organic transistor's
-    /// `vt0` (magnitude convention, like [`TftParams::vt0`]). `0.0` is
-    /// the nominal device, bit-identical to the un-swept flow.
-    pub organic_delta_vt: f64,
-}
-
-impl Default for ParamOverlay {
-    fn default() -> Self {
-        ParamOverlay {
-            organic_delta_vt: 0.0,
-        }
-    }
-}
-
-impl ParamOverlay {
-    /// Whether this is the nominal point (bit-exact zero: `-0.0` has a
-    /// different bit pattern, addresses different artifacts, and is
-    /// deliberately *not* default).
-    pub fn is_default(&self) -> bool {
-        self.organic_delta_vt.to_bits() == 0.0f64.to_bits()
-    }
-
-    /// The canonical text form hashed into every overlay-sensitive stage
-    /// key: the bit pattern of each delta, so distinct points can never
-    /// collide through decimal rounding.
-    pub fn canonical(&self) -> String {
-        format!("organic.dvt={:016x}", self.organic_delta_vt.to_bits())
-    }
-
-    /// Parses [`ParamOverlay::canonical`] back; returns `None` on any
-    /// malformation. Round-trips bit-exactly.
-    pub fn from_canonical(s: &str) -> Option<ParamOverlay> {
-        let hex = s.strip_prefix("organic.dvt=")?;
-        if hex.len() != 16 {
-            return None;
-        }
-        let bits = u64::from_str_radix(hex, 16).ok()?;
-        Some(ParamOverlay {
-            organic_delta_vt: f64::from_bits(bits),
-        })
-    }
-}
+pub use bdc_cells::ParamOverlay;
 
 fn cell_name(kind: LogicKind) -> &'static str {
-    CellKind::all()
-        .into_iter()
-        .find(|c| c.logic() == Some(kind))
-        .expect("every logic kind is a cell kind")
-        .name()
+    CellKind::from_logic(kind).name()
 }
 
-/// Stage 1 — the device model. For the organic process this hashes the
-/// full pentacene parameter set plus the overlay's V_T delta; the silicon
-/// stage hashes its geometry and is overlay-independent by construction.
+/// Stage 1 — the device model. A pseudo-E technology hashes the full
+/// pentacene parameter set plus the overlay's V_T delta; a CMOS
+/// technology hashes its geometry and is overlay-independent by
+/// construction.
 pub fn device_stage_key(process: Process, overlay: &ParamOverlay) -> u64 {
-    match process {
-        Process::Organic => fnv1a(&[
+    let tech = process.tech();
+    match tech.recipe {
+        CellRecipe::PseudoE { .. } => fnv1a(&[
             "bdc-stage-device-v1",
-            "organic",
+            tech.name,
             &format!("{:?}", TftParams::pentacene()),
             &overlay.canonical(),
         ]),
-        Process::Silicon => fnv1a(&["bdc-stage-device-v1", "silicon", "l=450e-9 vdd=1"]),
+        CellRecipe::Cmos { l_key, .. } => fnv1a(&[
+            "bdc-stage-device-v1",
+            tech.name,
+            &format!("l={l_key} vdd={}", tech.vdd),
+        ]),
     }
 }
 
-fn rails_recipe(process: Process) -> String {
-    match process {
-        Process::Organic => format!(
-            "vdd=5 vss=-15 sizing={:?}",
-            OrganicSizing::library_default()
-        ),
-        Process::Silicon => "vdd=1 l=450e-9".to_string(),
-    }
-}
-
-fn characterize_recipe(process: Process) -> String {
-    match process {
-        Process::Organic => format!("{:?}", CharacterizeConfig::organic()),
-        Process::Silicon => format!("{:?}", CharacterizeConfig::silicon()),
+fn rails_recipe(tech: &Technology) -> String {
+    match tech.recipe {
+        CellRecipe::PseudoE { sizing } => {
+            format!("vdd={} vss={} sizing={sizing:?}", tech.vdd, tech.vss)
+        }
+        CellRecipe::Cmos { l_key, .. } => format!("vdd={} l={l_key}", tech.vdd),
     }
 }
 
@@ -132,7 +79,7 @@ pub fn cell_dc_stage_key(process: Process, kind: LogicKind, overlay: &ParamOverl
         process.name(),
         cell_name(kind),
         &format!("{:016x}", device_stage_key(process, overlay)),
-        &rails_recipe(process),
+        &rails_recipe(process.tech()),
     ])
 }
 
@@ -147,7 +94,7 @@ pub fn cell_edge_stage_key(
     fnv1a(&[
         "bdc-stage-nldm-v1",
         &format!("{:016x}", cell_dc_stage_key(process, kind, overlay)),
-        &characterize_recipe(process),
+        &format!("{:?}", process.tech().characterize),
         if rising { "rise" } else { "fall" },
     ])
 }
@@ -185,13 +132,14 @@ pub fn library_stage_key(process: Process, overlay: &ParamOverlay) -> u64 {
         .into_iter()
         .map(|k| format!("{:016x}", cell_stage_key(process, k, overlay)))
         .collect();
-    let dff_recipe = match process {
-        Process::Organic => "dff=6nand area_factor=8.0 wire=organic",
-        Process::Silicon => "dff=6nand area_factor=4.2 wire=silicon_45nm",
-    };
+    let tech = process.tech();
+    let dff_recipe = format!(
+        "dff=6nand area_factor={:?} wire={}",
+        tech.dff_area_factor, tech.wire_name
+    );
     let mut parts: Vec<&str> = vec!["bdc-stage-lib-v1", process.name()];
     parts.extend(cell_keys.iter().map(String::as_str));
-    parts.push(dff_recipe);
+    parts.push(&dff_recipe);
     fnv1a(&parts)
 }
 

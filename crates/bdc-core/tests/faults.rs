@@ -104,5 +104,4 @@ fn installed_zero_rates_are_byte_identical_to_disarmed() {
     let delta = faults::counters().since(&before);
     assert_eq!(delta.injected_panics, 0);
     assert_eq!(delta.injected_corrupt, 0);
-    assert_eq!(delta.io_delays, 0);
 }

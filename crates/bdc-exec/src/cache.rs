@@ -35,9 +35,8 @@
 //! `BDC_NO_CACHE=1` disables the cache entirely (every load misses, every
 //! store is dropped), `BDC_CACHE_BUDGET_MB` bounds the store's disk
 //! footprint, and `BDC_FAULTS` (see [`crate::faults`]) can inject
-//! deterministic read corruption, I/O delay, synthetic ENOSPC
-//! (`disk_full=`), and peer-fetch delay (`peer_slow=`) to exercise the
-//! quarantine/rebuild and eviction paths.
+//! deterministic read corruption and synthetic ENOSPC (`disk_full=`) to
+//! exercise the quarantine/rebuild and eviction paths.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
@@ -460,7 +459,6 @@ impl ArtifactCache {
         if !self.enabled {
             return None;
         }
-        faults::inject_io_delay();
         let path = self.path_for(name, key);
         // Read as bytes: corruption can produce invalid UTF-8, which must
         // quarantine like any other verification failure (a missing file
@@ -491,7 +489,6 @@ impl ArtifactCache {
     /// local artifact.
     fn peer_fill(&self, name: &str, key: u64) -> Option<String> {
         let hooks = peer_hooks()?;
-        faults::inject_peer_delay();
         match (hooks.fetch)(name, key) {
             PeerFetch::NotAttempted => None,
             PeerFetch::Miss => {
@@ -617,7 +614,6 @@ impl ArtifactCache {
         if !self.enabled {
             return false;
         }
-        faults::inject_io_delay();
         if faults::inject_disk_full(&format!("{name}-{key:016x}")) {
             return false;
         }

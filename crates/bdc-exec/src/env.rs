@@ -160,10 +160,8 @@ mod tests {
     fn fault_spec_parser_rejects_bad_new_kinds() {
         for bad in [
             "disk_full=2",
-            "peer_slow=fast",
             "partition=-0.5",
             "disk_full=0.1,disk_full=0.1",
-            "peer_slow=1ms,peer_slow=2ms",
             "partition=0.1,partition=0.1",
             "disk_fill=0.1",
         ] {

@@ -7,10 +7,10 @@
 //! `BDC_FAULTS` spec like
 //!
 //! ```text
-//! BDC_FAULTS=cache_corrupt=0.05,task_panic=0.01,io_slow=20ms,seed=42
+//! BDC_FAULTS=cache_corrupt=0.05,task_panic=0.01,seed=42
 //! ```
 //!
-//! arms three injection hooks:
+//! arms the injection hooks of the kinds it names:
 //!
 //! * `cache_corrupt` — probability that an artifact read is handed
 //!   corrupted bytes (a bit flip in the payload), exercising the cache's
@@ -18,13 +18,9 @@
 //! * `task_panic` — probability that a guarded task site (a plan node, a
 //!   serve engine job) panics before running, exercising the
 //!   `catch_unwind` + bounded-retry containment.
-//! * `io_slow` — a fixed delay added to cache I/O and engine execution,
-//!   exercising deadlines and socket timeouts.
 //! * `disk_full` — probability that an artifact store attempt sees a
 //!   synthetic ENOSPC, exercising the cache's failures-are-misses
 //!   contract and the disk-budget eviction path.
-//! * `peer_slow` — a fixed delay added to peer-shard artifact fetches,
-//!   exercising peer timeouts and deadline propagation.
 //! * `partition` — probability that a peer or proxy connection attempt
 //!   is refused outright, exercising router failover and breakers.
 //!
@@ -32,7 +28,7 @@
 //! `(seed, kind, site, attempt)` — never of wall clock, thread schedule,
 //! or a shared counter — so two runs with the same spec inject the same
 //! faults at the same sites, regardless of worker count. With the spec
-//! unset (or every rate 0 and delay 0) the hooks are inert and output is
+//! unset (or every rate 0) the hooks are inert and output is
 //! byte-identical to an uninstrumented run.
 //!
 //! The module also owns the process-wide *survival counters* (retries,
@@ -56,13 +52,9 @@ pub struct FaultConfig {
     /// Probability in `[0, 1]` that a guarded task site panics (per
     /// attempt, so retries re-roll).
     pub task_panic: f64,
-    /// Fixed delay injected into cache I/O and engine execution.
-    pub io_slow: Duration,
     /// Probability in `[0, 1]` that an artifact store attempt sees a
     /// synthetic ENOSPC.
     pub disk_full: f64,
-    /// Fixed delay injected into peer-shard artifact fetches.
-    pub peer_slow: Duration,
     /// Probability in `[0, 1]` that a peer/proxy connection attempt is
     /// refused.
     pub partition: f64,
@@ -75,9 +67,7 @@ impl Default for FaultConfig {
         FaultConfig {
             cache_corrupt: 0.0,
             task_panic: 0.0,
-            io_slow: Duration::ZERO,
             disk_full: 0.0,
-            peer_slow: Duration::ZERO,
             partition: 0.0,
             seed: 0,
         }
@@ -85,13 +75,11 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether every knob is at its inert value (rates 0, no delay).
+    /// Whether every knob is at its inert value (rates 0).
     pub fn is_inert(&self) -> bool {
         self.cache_corrupt == 0.0
             && self.task_panic == 0.0
-            && self.io_slow.is_zero()
             && self.disk_full == 0.0
-            && self.peer_slow.is_zero()
             && self.partition == 0.0
     }
 
@@ -99,22 +87,15 @@ impl FaultConfig {
     /// [`parse_spec`] accepts (round-trip pinned by the property tests).
     pub fn to_spec(&self) -> String {
         format!(
-            "cache_corrupt={},task_panic={},io_slow={}ms,disk_full={},peer_slow={}ms,partition={},seed={}",
-            self.cache_corrupt,
-            self.task_panic,
-            self.io_slow.as_millis(),
-            self.disk_full,
-            self.peer_slow.as_millis(),
-            self.partition,
-            self.seed
+            "cache_corrupt={},task_panic={},disk_full={},partition={},seed={}",
+            self.cache_corrupt, self.task_panic, self.disk_full, self.partition, self.seed
         )
     }
 }
 
 /// Parses a `BDC_FAULTS` value: comma-separated `key=value` pairs with
 /// keys `cache_corrupt`, `task_panic`, `disk_full`, `partition`
-/// (probabilities in `[0, 1]`), `io_slow` and `peer_slow` (durations,
-/// `20ms` / `2s` / `0`), and `seed` (a u64). Missing keys default to the
+/// (probabilities in `[0, 1]`) and `seed` (a u64). Missing keys default to the
 /// inert value; duplicate or unknown keys are rejected.
 ///
 /// # Errors
@@ -125,7 +106,7 @@ pub fn parse_spec(raw: &str) -> Result<FaultConfig, String> {
     if raw.is_empty() {
         return Err(
             "BDC_FAULTS is set but empty; unset it, or give a spec like \
-             `cache_corrupt=0.05,task_panic=0.01,io_slow=20ms,seed=42`"
+             `cache_corrupt=0.05,task_panic=0.01,seed=42`"
                 .to_string(),
         );
     }
@@ -145,9 +126,7 @@ pub fn parse_spec(raw: &str) -> Result<FaultConfig, String> {
         match key {
             "cache_corrupt" => cfg.cache_corrupt = parse_rate(key, value)?,
             "task_panic" => cfg.task_panic = parse_rate(key, value)?,
-            "io_slow" => cfg.io_slow = parse_duration(key, value)?,
             "disk_full" => cfg.disk_full = parse_rate(key, value)?,
-            "peer_slow" => cfg.peer_slow = parse_duration(key, value)?,
             "partition" => cfg.partition = parse_rate(key, value)?,
             "seed" => {
                 cfg.seed = value.parse::<u64>().map_err(|_| {
@@ -157,7 +136,7 @@ pub fn parse_spec(raw: &str) -> Result<FaultConfig, String> {
             other => {
                 return Err(format!(
                     "BDC_FAULTS has unknown key `{other}` (known: cache_corrupt, \
-                     task_panic, io_slow, disk_full, peer_slow, partition, seed)"
+                     task_panic, disk_full, partition, seed)"
                 ));
             }
         }
@@ -176,25 +155,6 @@ fn parse_rate(key: &str, value: &str) -> Result<f64, String> {
         ));
     }
     Ok(rate)
-}
-
-fn parse_duration(key: &str, value: &str) -> Result<Duration, String> {
-    let bad = || {
-        format!("BDC_FAULTS `{key}` must be a duration like `20ms`, `2s`, or `0`, got `{value}`")
-    };
-    let (digits, unit) = match value.find(|c: char| !c.is_ascii_digit()) {
-        Some(0) => return Err(bad()),
-        Some(i) => value.split_at(i),
-        None => (value, "ms"),
-    };
-    let n: u64 = digits.parse().map_err(|_| bad())?;
-    match unit {
-        "ms" => Ok(Duration::from_millis(n)),
-        "s" => Ok(Duration::from_secs(n)),
-        // A bare `0` means "no delay" whatever the unit would have been.
-        "" => Ok(Duration::from_millis(n)),
-        _ => Err(bad()),
-    }
 }
 
 /// The installed configuration. `initialized` distinguishes "nobody
@@ -282,15 +242,6 @@ pub fn maybe_panic(site: &str, attempt: u64) {
     }
 }
 
-/// Sleeps for the configured `io_slow` delay (no-op when disarmed).
-pub fn inject_io_delay() {
-    let Some(cfg) = active() else { return };
-    if !cfg.io_slow.is_zero() {
-        COUNTERS.io_delays.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(cfg.io_slow);
-    }
-}
-
 /// Whether the artifact store attempt at `site` should see a synthetic
 /// ENOSPC. Counts the injection when it fires.
 pub fn inject_disk_full(site: &str) -> bool {
@@ -303,16 +254,6 @@ pub fn inject_disk_full(site: &str) -> bool {
         COUNTERS.injected_disk_full.fetch_add(1, Ordering::Relaxed);
     }
     fire
-}
-
-/// Sleeps for the configured `peer_slow` delay before a peer-shard
-/// artifact fetch (no-op when disarmed).
-pub fn inject_peer_delay() {
-    let Some(cfg) = active() else { return };
-    if !cfg.peer_slow.is_zero() {
-        COUNTERS.peer_slow_delays.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(cfg.peer_slow);
-    }
 }
 
 /// Whether the peer/proxy connection attempt at `site` should be refused
@@ -345,7 +286,6 @@ pub fn backoff_delay(site: &str, attempt: u64) -> Duration {
 struct Counters {
     injected_corrupt: AtomicU64,
     injected_panics: AtomicU64,
-    io_delays: AtomicU64,
     retries: AtomicU64,
     panics_contained: AtomicU64,
     quarantined: AtomicU64,
@@ -354,7 +294,6 @@ struct Counters {
     peer_misses: AtomicU64,
     peer_pushes: AtomicU64,
     injected_disk_full: AtomicU64,
-    peer_slow_delays: AtomicU64,
     injected_partitions: AtomicU64,
     evicted: AtomicU64,
     quarantine_reaped: AtomicU64,
@@ -363,7 +302,6 @@ struct Counters {
 static COUNTERS: Counters = Counters {
     injected_corrupt: AtomicU64::new(0),
     injected_panics: AtomicU64::new(0),
-    io_delays: AtomicU64::new(0),
     retries: AtomicU64::new(0),
     panics_contained: AtomicU64::new(0),
     quarantined: AtomicU64::new(0),
@@ -372,7 +310,6 @@ static COUNTERS: Counters = Counters {
     peer_misses: AtomicU64::new(0),
     peer_pushes: AtomicU64::new(0),
     injected_disk_full: AtomicU64::new(0),
-    peer_slow_delays: AtomicU64::new(0),
     injected_partitions: AtomicU64::new(0),
     evicted: AtomicU64::new(0),
     quarantine_reaped: AtomicU64::new(0),
@@ -385,8 +322,6 @@ pub struct FaultCounters {
     pub injected_corrupt: u64,
     /// Injected task panics raised.
     pub injected_panics: u64,
-    /// Injected I/O delays applied.
-    pub io_delays: u64,
     /// Task retries taken (after a panic or error).
     pub retries: u64,
     /// Panics contained by a `catch_unwind` guard.
@@ -405,8 +340,6 @@ pub struct FaultCounters {
     pub peer_pushes: u64,
     /// Artifact stores refused by an injected synthetic ENOSPC.
     pub injected_disk_full: u64,
-    /// Injected peer-fetch delays applied.
-    pub peer_slow_delays: u64,
     /// Peer/proxy connections refused by an injected partition.
     pub injected_partitions: u64,
     /// Artifacts evicted by the disk-budget LRU (real and fault-driven).
@@ -423,7 +356,6 @@ impl FaultCounters {
                 .injected_corrupt
                 .saturating_sub(earlier.injected_corrupt),
             injected_panics: self.injected_panics.saturating_sub(earlier.injected_panics),
-            io_delays: self.io_delays.saturating_sub(earlier.io_delays),
             retries: self.retries.saturating_sub(earlier.retries),
             panics_contained: self
                 .panics_contained
@@ -436,9 +368,6 @@ impl FaultCounters {
             injected_disk_full: self
                 .injected_disk_full
                 .saturating_sub(earlier.injected_disk_full),
-            peer_slow_delays: self
-                .peer_slow_delays
-                .saturating_sub(earlier.peer_slow_delays),
             injected_partitions: self
                 .injected_partitions
                 .saturating_sub(earlier.injected_partitions),
@@ -455,7 +384,6 @@ pub fn counters() -> FaultCounters {
     FaultCounters {
         injected_corrupt: COUNTERS.injected_corrupt.load(Ordering::Relaxed),
         injected_panics: COUNTERS.injected_panics.load(Ordering::Relaxed),
-        io_delays: COUNTERS.io_delays.load(Ordering::Relaxed),
         retries: COUNTERS.retries.load(Ordering::Relaxed),
         panics_contained: COUNTERS.panics_contained.load(Ordering::Relaxed),
         quarantined: COUNTERS.quarantined.load(Ordering::Relaxed),
@@ -464,7 +392,6 @@ pub fn counters() -> FaultCounters {
         peer_misses: COUNTERS.peer_misses.load(Ordering::Relaxed),
         peer_pushes: COUNTERS.peer_pushes.load(Ordering::Relaxed),
         injected_disk_full: COUNTERS.injected_disk_full.load(Ordering::Relaxed),
-        peer_slow_delays: COUNTERS.peer_slow_delays.load(Ordering::Relaxed),
         injected_partitions: COUNTERS.injected_partitions.load(Ordering::Relaxed),
         evicted: COUNTERS.evicted.load(Ordering::Relaxed),
         quarantine_reaped: COUNTERS.quarantine_reaped.load(Ordering::Relaxed),
@@ -522,19 +449,15 @@ mod tests {
 
     #[test]
     fn parses_the_full_spec() {
-        let cfg = parse_spec(
-            "cache_corrupt=0.05,task_panic=0.01,io_slow=20ms,disk_full=0.1,\
-             peer_slow=15ms,partition=0.02,seed=42",
-        )
-        .unwrap();
+        let cfg =
+            parse_spec("cache_corrupt=0.05,task_panic=0.01,disk_full=0.1,partition=0.02,seed=42")
+                .unwrap();
         assert_eq!(
             cfg,
             FaultConfig {
                 cache_corrupt: 0.05,
                 task_panic: 0.01,
-                io_slow: Duration::from_millis(20),
                 disk_full: 0.1,
-                peer_slow: Duration::from_millis(15),
                 partition: 0.02,
                 seed: 42,
             }
@@ -546,17 +469,7 @@ mod tests {
         let cfg = parse_spec("seed=7").unwrap();
         assert_eq!(cfg.cache_corrupt, 0.0);
         assert_eq!(cfg.task_panic, 0.0);
-        assert!(cfg.io_slow.is_zero());
         assert!(cfg.is_inert());
-    }
-
-    #[test]
-    fn io_slow_accepts_seconds_and_bare_numbers() {
-        assert_eq!(
-            parse_spec("io_slow=2s").unwrap().io_slow,
-            Duration::from_secs(2)
-        );
-        assert_eq!(parse_spec("io_slow=0").unwrap().io_slow, Duration::ZERO);
     }
 
     #[test]
@@ -569,13 +482,11 @@ mod tests {
             "cache_corrupt=-0.1",
             "cache_corrupt=NaN",
             "task_panic=two",
-            "io_slow=20m",
-            "io_slow=ms",
+            "io_slow=20ms",
             "disk_full=1.5",
             "disk_full=-0.1",
             "disk_full=NaN",
-            "peer_slow=20m",
-            "peer_slow=ms",
+            "peer_slow=5ms",
             "partition=2",
             "partition=half",
             "seed=-1",
@@ -583,7 +494,6 @@ mod tests {
             "nosuch=1",
             "seed=1,seed=2",
             "disk_full=0.1,disk_full=0.2",
-            "peer_slow=5ms,peer_slow=5ms",
             "partition=0,partition=0",
         ] {
             let err = parse_spec(bad).expect_err(bad);
@@ -596,9 +506,7 @@ mod tests {
         let cfg = FaultConfig {
             cache_corrupt: 0.125,
             task_panic: 0.5,
-            io_slow: Duration::from_millis(30),
             disk_full: 0.25,
-            peer_slow: Duration::from_millis(10),
             partition: 0.0625,
             seed: 99,
         };
@@ -609,12 +517,10 @@ mod tests {
     fn new_kinds_default_to_inert() {
         let cfg = parse_spec("seed=7").unwrap();
         assert_eq!(cfg.disk_full, 0.0);
-        assert!(cfg.peer_slow.is_zero());
         assert_eq!(cfg.partition, 0.0);
         assert!(cfg.is_inert());
         // Any one of the new kinds alone makes the spec non-inert.
         assert!(!parse_spec("disk_full=0.1").unwrap().is_inert());
-        assert!(!parse_spec("peer_slow=5ms").unwrap().is_inert());
         assert!(!parse_spec("partition=0.1").unwrap().is_inert());
     }
 

@@ -38,7 +38,7 @@ mod tests {
     //! One test per rule proving it fires on a minimal violating input,
     //! plus clean-pass checks on healthy artifacts.
 
-    use bdc_cells::{Cell, CellKind, CellLibrary, DffTiming, NldmTable, ProcessKind, WireModel};
+    use bdc_cells::{Cell, CellKind, CellLibrary, DffTiming, NldmTable, Process, WireModel};
     use bdc_device::TftParams;
     use bdc_synth::gate::Netlist;
     use bdc_synth::sta::StaConfig;
@@ -47,7 +47,7 @@ mod tests {
     use super::*;
 
     fn lib() -> CellLibrary {
-        CellLibrary::synthetic(ProcessKind::Silicon45, 15.0e-12)
+        CellLibrary::synthetic(Process::Silicon, 15.0e-12)
     }
 
     fn cfg() -> StaConfig {
@@ -86,7 +86,7 @@ mod tests {
         };
         CellLibrary::from_cells(
             "gridded",
-            ProcessKind::Silicon45,
+            Process::Silicon,
             1.0,
             0.0,
             WireModel::silicon_45nm(),
@@ -253,7 +253,7 @@ mod tests {
         let g = gridded_lib();
         let slow3 = CellLibrary::from_cells(
             "slow-nand3",
-            ProcessKind::Silicon45,
+            Process::Silicon,
             g.vdd,
             g.vss,
             g.wire,
@@ -378,7 +378,7 @@ mod tests {
         // An "organic" library without the negative bias rail.
         let bad = CellLibrary::from_cells(
             "no-bias",
-            ProcessKind::Organic,
+            Process::Organic,
             5.0,
             0.0,
             g.wire,

@@ -7,7 +7,7 @@
 //! check the physical sanity of `CellLibrary` and `TftParams` artifacts at
 //! the flow hand-offs.
 
-use bdc_cells::{CellLibrary, NldmTable, ProcessKind};
+use bdc_cells::{CellLibrary, CellRecipe, NldmTable};
 use bdc_device::TftParams;
 
 use crate::diag::{Diagnostic, LintReport, Location, Rule};
@@ -34,8 +34,8 @@ pub fn lint_library(lib: &CellLibrary) -> LintReport {
             .with_hint("VDD must be positive and above VSS"),
         );
     } else {
-        match lib.process {
-            ProcessKind::Organic if lib.vss >= 0.0 => {
+        match lib.process.tech().recipe {
+            CellRecipe::PseudoE { .. } if lib.vss >= 0.0 => {
                 report.push(
                     Diagnostic::new(
                         Rule::RailConvention,
@@ -47,7 +47,7 @@ pub fn lint_library(lib: &CellLibrary) -> LintReport {
                     ),
                 );
             }
-            ProcessKind::Silicon45 if lib.vss != 0.0 => {
+            CellRecipe::Cmos { .. } if lib.vss != 0.0 => {
                 report.push(
                     Diagnostic::new(
                         Rule::RailConvention,

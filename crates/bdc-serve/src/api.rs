@@ -331,13 +331,9 @@ impl Params {
 }
 
 fn parse_process(p: &Params) -> Result<Process, String> {
-    match p.str_or("process", "organic").as_str() {
-        "organic" => Ok(Process::Organic),
-        "silicon" => Ok(Process::Silicon),
-        other => Err(format!(
-            "`process` must be `organic` or `silicon`, got `{other}`"
-        )),
-    }
+    let name = p.str_or("process", "organic");
+    Process::from_name(&name)
+        .ok_or_else(|| format!("`process` must be `organic` or `silicon`, got `{name}`"))
 }
 
 fn parse_spec(p: &Params) -> Result<CoreSpec, String> {

@@ -55,14 +55,12 @@ fn parse_args() -> ServeConfig {
             "--max-retries" => cfg.engine.max_retries = parse_num(&flag, &value("count")) as u32,
             "--warm" => {
                 for name in value("process list").split(',') {
-                    match name.trim() {
-                        "organic" => cfg.warm.push(Process::Organic),
-                        "silicon" => cfg.warm.push(Process::Silicon),
-                        other => {
-                            eprintln!("bdc_serve: unknown process `{other}`");
-                            usage()
-                        }
-                    }
+                    let name = name.trim();
+                    let Some(process) = Process::from_name(name) else {
+                        eprintln!("bdc_serve: unknown process `{name}`");
+                        usage()
+                    };
+                    cfg.warm.push(process);
                 }
             }
             "--help" | "-h" => usage(),

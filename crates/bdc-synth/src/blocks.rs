@@ -651,8 +651,8 @@ mod tests {
     fn kogge_stone_is_log_depth() {
         // Gate count grows superlinearly but the XOR-to-sum path is short.
         use crate::sta::{analyze, StaConfig};
-        use bdc_cells::{CellLibrary, ProcessKind};
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 10.0e-12);
+        use bdc_cells::{CellLibrary, Process};
+        let lib = CellLibrary::synthetic(Process::Silicon, 10.0e-12);
         let cfg = StaConfig::default();
         let ks = analyze(&kogge_stone_adder(32), &lib, &cfg);
         let ripple = analyze(&ripple_adder(32), &lib, &cfg);

@@ -132,12 +132,12 @@ pub fn remap_for_library(netlist: &Netlist, lib: &CellLibrary) -> (Netlist, MapR
 mod tests {
     use super::*;
     use crate::funcsim::simulate_comb;
-    use bdc_cells::{Cell, CellLibrary, ProcessKind};
+    use bdc_cells::{Cell, CellLibrary, Process};
     use std::collections::BTreeMap;
 
     /// A library whose NAND3 is pathologically slow.
     fn slow_nand3_lib() -> CellLibrary {
-        let base = CellLibrary::synthetic(ProcessKind::Silicon45, 10.0e-12);
+        let base = CellLibrary::synthetic(Process::Silicon, 10.0e-12);
         let cells: Vec<Cell> = base
             .cells()
             .iter()
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn balanced_library_keeps_three_input_cells() {
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 10.0e-12);
+        let lib = CellLibrary::synthetic(Process::Silicon, 10.0e-12);
         assert!(!prefers_decomposition(&lib, CellKind::Nand3));
         let mut n = Netlist::new("t");
         let a = n.input("a");

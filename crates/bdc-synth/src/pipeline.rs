@@ -278,14 +278,14 @@ pub fn depth_sweep(
 mod tests {
     use super::*;
     use crate::blocks;
-    use bdc_cells::{CellLibrary, ProcessKind};
+    use bdc_cells::{CellLibrary, Process};
 
     fn si() -> CellLibrary {
-        CellLibrary::synthetic(ProcessKind::Silicon45, 15.0e-12)
+        CellLibrary::synthetic(Process::Silicon, 15.0e-12)
     }
 
     fn org() -> CellLibrary {
-        CellLibrary::synthetic(ProcessKind::Organic, 1.2e-4)
+        CellLibrary::synthetic(Process::Organic, 1.2e-4)
     }
 
     #[test]

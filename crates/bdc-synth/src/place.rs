@@ -98,11 +98,11 @@ impl PlacementModel {
 mod tests {
     use super::*;
     use crate::blocks;
-    use bdc_cells::{CellLibrary, ProcessKind};
+    use bdc_cells::{CellLibrary, Process};
 
     #[test]
     fn silicon_multiplier_die_is_sub_millimetre() {
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 15.0e-12);
+        let lib = CellLibrary::synthetic(Process::Silicon, 15.0e-12);
         let mult = blocks::array_multiplier(32);
         let p = PlacementModel::default().place(&mult, &lib);
         assert!(
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn organic_multiplier_die_is_centimetres() {
-        let lib = CellLibrary::synthetic(ProcessKind::Organic, 1.0e-4);
+        let lib = CellLibrary::synthetic(Process::Organic, 1.0e-4);
         let mult = blocks::array_multiplier(32);
         let p = PlacementModel::default().place(&mult, &lib);
         // 80 µm channels: a 32-bit multiplier needs a glass panel.
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn local_nets_shorter_than_crossings() {
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 15.0e-12);
+        let lib = CellLibrary::synthetic(Process::Silicon, 15.0e-12);
         let mult = blocks::array_multiplier(16);
         let m = PlacementModel::default();
         let p = m.place(&mult, &lib);
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn area_scales_with_gate_count() {
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 15.0e-12);
+        let lib = CellLibrary::synthetic(Process::Silicon, 15.0e-12);
         let small = PlacementModel::default().place(&blocks::array_multiplier(8), &lib);
         let big = PlacementModel::default().place(&blocks::array_multiplier(16), &lib);
         assert!(big.cell_area_um2 > 3.0 * small.cell_area_um2);

@@ -91,13 +91,13 @@ pub fn energy_per_instruction(report: &PowerReport, ipc: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::blocks;
-    use bdc_cells::{CellLibrary, ProcessKind};
+    use bdc_cells::{CellLibrary, Process};
 
     #[test]
     fn organic_is_static_dominated_silicon_is_not() {
         let adder = blocks::ripple_adder(16);
-        let org = CellLibrary::synthetic(ProcessKind::Organic, 6.5e-4);
-        let si = CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-11);
+        let org = CellLibrary::synthetic(Process::Organic, 6.5e-4);
+        let si = CellLibrary::synthetic(Process::Silicon, 1.0e-11);
         let p_org = estimate_power(&adder, &org, 0, 20.0, 0.15);
         let p_si = estimate_power(&adder, &si, 0, 1.0e9, 0.15);
         assert!(
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn dynamic_power_scales_with_frequency_and_activity() {
         let adder = blocks::ripple_adder(8);
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-11);
+        let lib = CellLibrary::synthetic(Process::Silicon, 1.0e-11);
         let slow = estimate_power(&adder, &lib, 0, 1.0e8, 0.2);
         let fast = estimate_power(&adder, &lib, 0, 1.0e9, 0.2);
         assert!((fast.dynamic_w / slow.dynamic_w - 10.0).abs() < 1e-9);
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn pipeline_registers_add_power() {
         let adder = blocks::ripple_adder(8);
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-11);
+        let lib = CellLibrary::synthetic(Process::Silicon, 1.0e-11);
         let bare = estimate_power(&adder, &lib, 0, 1.0e9, 0.2);
         let piped = estimate_power(&adder, &lib, 200, 1.0e9, 0.2);
         assert!(piped.total_w() > bare.total_w());
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn energy_per_instruction_inverse_in_throughput() {
         let adder = blocks::ripple_adder(8);
-        let lib = CellLibrary::synthetic(ProcessKind::Organic, 6.5e-4);
+        let lib = CellLibrary::synthetic(Process::Organic, 6.5e-4);
         let r = estimate_power(&adder, &lib, 0, 10.0, 0.2);
         let e1 = energy_per_instruction(&r, 0.5);
         let e2 = energy_per_instruction(&r, 1.0);
@@ -148,7 +148,7 @@ mod tests {
     #[should_panic(expected = "activity must be in")]
     fn rejects_bad_activity() {
         let adder = blocks::ripple_adder(4);
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-11);
+        let lib = CellLibrary::synthetic(Process::Silicon, 1.0e-11);
         let _ = estimate_power(&adder, &lib, 0, 1.0e9, 1.5);
     }
 }

@@ -213,10 +213,10 @@ mod tests {
     use super::*;
     use crate::blocks;
     use crate::gate::Netlist;
-    use bdc_cells::{CellLibrary, ProcessKind};
+    use bdc_cells::{CellLibrary, Process};
 
     fn si_lib() -> CellLibrary {
-        CellLibrary::synthetic(ProcessKind::Silicon45, 15.0e-12)
+        CellLibrary::synthetic(Process::Silicon, 15.0e-12)
     }
 
     #[test]
@@ -285,13 +285,13 @@ mod tests {
         let mult = blocks::array_multiplier(16);
         let cfg = StaConfig::default();
 
-        let si = CellLibrary::synthetic(ProcessKind::Silicon45, 15.0e-12);
+        let si = CellLibrary::synthetic(Process::Silicon, 15.0e-12);
         let si_ideal = si.clone().with_wire(bdc_cells::WireModel::ideal());
         let r_si = analyze(&mult, &si, &cfg);
         let r_si_ideal = analyze(&mult, &si_ideal, &cfg);
         let si_wire_frac = (r_si.max_arrival - r_si_ideal.max_arrival) / r_si.max_arrival;
 
-        let org = CellLibrary::synthetic(ProcessKind::Organic, 1.2e-4);
+        let org = CellLibrary::synthetic(Process::Organic, 1.2e-4);
         let org_ideal = org.clone().with_wire(bdc_cells::WireModel::ideal());
         let r_org = analyze(&mult, &org, &cfg);
         let r_org_ideal = analyze(&mult, &org_ideal, &cfg);

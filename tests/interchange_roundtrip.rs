@@ -40,11 +40,11 @@ proptest! {
         stages in 2usize..5,
         seed in 0u64..100,
     ) {
-        use bdc_cells::{CellLibrary, ProcessKind};
+        use bdc_cells::{CellLibrary, Process};
         use bdc_synth::pipeline::insert_registers;
         use bdc_synth::sta::StaConfig;
         let comb = blocks::random_logic(10, 120, seed);
-        let lib = CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-11);
+        let lib = CellLibrary::synthetic(Process::Silicon, 1.0e-11);
         let piped = insert_registers(&comb, &lib, &StaConfig::default(), stages);
         let text = write_verilog(&piped);
         let back = parse_verilog(&text).expect("parse");
@@ -87,9 +87,9 @@ proptest! {
 fn workload_kernels_round_trip_through_verilog_sized_alu() {
     // A non-property spot check tying the stacks together: export the real
     // ALU adder block, re-import, and confirm identical STA results.
-    use bdc_cells::{CellLibrary, ProcessKind};
+    use bdc_cells::{CellLibrary, Process};
     use bdc_synth::sta::{analyze, StaConfig};
-    let lib = CellLibrary::synthetic(ProcessKind::Organic, 6.5e-4);
+    let lib = CellLibrary::synthetic(Process::Organic, 6.5e-4);
     let orig = blocks::carry_select_adder(32);
     let back = parse_verilog(&write_verilog(&orig)).expect("parse");
     let cfg = StaConfig::default();

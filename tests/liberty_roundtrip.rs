@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use bdc_cells::characterize::GateTiming;
 use bdc_cells::library::DffTiming;
 use bdc_cells::{
-    parse_library, write_library, Cell, CellKind, CellLibrary, NldmTable, ProcessKind, WireModel,
+    parse_library, write_library, Cell, CellKind, CellLibrary, NldmTable, Process, WireModel,
 };
 
 /// Strategy for a well-formed NLDM table.
@@ -42,7 +42,7 @@ fn library_strategy() -> impl Strategy<Value = CellLibrary> {
     (
         proptest::collection::vec(table_strategy(), 6..=6),
         1.0e-13..1.0e-3f64,
-        prop_oneof![Just(ProcessKind::Organic), Just(ProcessKind::Silicon45)],
+        prop_oneof![Just(Process::Organic), Just(Process::Silicon)],
         0.1..20.0f64,
     )
         .prop_map(|(tables, dff_scale, process, vdd)| {
@@ -71,7 +71,7 @@ fn library_strategy() -> impl Strategy<Value = CellLibrary> {
                 "prop",
                 process,
                 vdd,
-                if process == ProcessKind::Organic {
+                if process == Process::Organic {
                     -vdd
                 } else {
                     0.0

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use bdc_cells::{CellLibrary, ProcessKind};
+use bdc_cells::{CellLibrary, Process};
 use bdc_core::corespec::{stage_netlist, StageKind};
 use bdc_lint::{lint_netlist, Severity};
 use bdc_synth::blocks;
@@ -13,9 +13,9 @@ use bdc_synth::sta::StaConfig;
 
 fn lib(organic: bool) -> CellLibrary {
     if organic {
-        CellLibrary::synthetic(ProcessKind::Organic, 6.5e-4)
+        CellLibrary::synthetic(Process::Organic, 6.5e-4)
     } else {
-        CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-11)
+        CellLibrary::synthetic(Process::Silicon, 1.0e-11)
     }
 }
 

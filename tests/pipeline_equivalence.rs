@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use bdc_cells::{CellLibrary, ProcessKind};
+use bdc_cells::{CellLibrary, Process};
 use bdc_synth::blocks;
 use bdc_synth::funcsim::{bus_to_u64, simulate_comb, simulate_seq, u64_to_bus};
 use bdc_synth::gate::Netlist;
@@ -16,7 +16,7 @@ use bdc_synth::pipeline::insert_registers;
 use bdc_synth::sta::StaConfig;
 
 fn lib() -> CellLibrary {
-    CellLibrary::synthetic(ProcessKind::Silicon45, 10.0e-12)
+    CellLibrary::synthetic(Process::Silicon, 10.0e-12)
 }
 
 /// Drives the same input sequence through comb and pipelined versions and

@@ -2,16 +2,16 @@
 
 use proptest::prelude::*;
 
-use bdc_cells::{CellLibrary, ProcessKind};
+use bdc_cells::{CellLibrary, Process};
 use bdc_synth::blocks;
 use bdc_synth::pipeline::{depth_sweep, pipeline_cut, stage_assignment, PipelineOptions};
 use bdc_synth::sta::{analyze, StaConfig};
 
 fn lib(organic: bool) -> CellLibrary {
     if organic {
-        CellLibrary::synthetic(ProcessKind::Organic, 6.5e-4)
+        CellLibrary::synthetic(Process::Organic, 6.5e-4)
     } else {
-        CellLibrary::synthetic(ProcessKind::Silicon45, 1.0e-11)
+        CellLibrary::synthetic(Process::Silicon, 1.0e-11)
     }
 }
 
