@@ -33,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  bdc list [--json]\n  bdc run [--quick] [--all] [--require-warm] \
          [--max-retries N] <id>...\n  bdc sweep --param NAME=START:END:COUNT [--quick] \
-         [--resume] [<id>...]\n  bdc verify [--audit-deps] [--quick]\n  \
+         [<id>...]\n  bdc verify [--audit-deps] [--quick]\n  \
          bdc lint --workspace\n  \
          bdc cluster [--shards N] [--addr HOST:PORT] [--base-port P] [--ring-seed S] \
          [--vnodes V]\n              [--proxy-retries R] [--serve-bin PATH] [--cache-root DIR] \
@@ -172,7 +172,6 @@ fn cmd_run(args: &[String]) -> ! {
 
 fn cmd_sweep(args: &[String]) -> ! {
     let mut spec: Option<sweep::SweepSpec> = None;
-    let mut resume = false;
     let mut ids: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
@@ -182,6 +181,10 @@ fn cmd_sweep(args: &[String]) -> ! {
                     eprintln!("--param needs NAME=START:END:COUNT");
                     usage();
                 };
+                if spec.is_some() {
+                    eprintln!("--param given twice (a sweep moves one parameter)");
+                    usage();
+                }
                 spec = match sweep::SweepSpec::parse(raw) {
                     Ok(s) => Some(s),
                     Err(e) => {
@@ -190,7 +193,6 @@ fn cmd_sweep(args: &[String]) -> ! {
                     }
                 };
             }
-            "--resume" => resume = true,
             "--quick" => {} // consumed by bdc_bench::quick_mode()
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag `{flag}`");
@@ -208,15 +210,13 @@ fn cmd_sweep(args: &[String]) -> ! {
     }
 
     let quick = bdc_bench::quick_mode();
-    let checkpoint_dir = std::path::Path::new(sweep::DEFAULT_CHECKPOINT_DIR);
-    let report =
-        match sweep::run_sweep_checkpointed(&spec, &ids, quick, Some(checkpoint_dir), resume) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
+    let report = match sweep::run_sweep(&spec, &ids, quick) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    };
 
     // Stdout carries only the deterministic transcript; telemetry goes to
     // the manifest and stderr so the output stays byte-diffable.
@@ -239,12 +239,7 @@ fn cmd_sweep(args: &[String]) -> ! {
         report.spec.start,
         report.spec.end,
         report.points.len(),
-        ids.len()
-    );
-    eprintln!(
-        "  checkpoints: restored {} point(s), recomputed {}",
-        report.restored_points,
-        report.points.len() - report.restored_points
+        report.points.first().map_or(0, |p| p.report.nodes.len())
     );
     for p in &report.points {
         let (hits, misses) = p.totals();

@@ -273,19 +273,10 @@ impl Technology {
         kind: LogicKind,
         overlay: &ParamOverlay,
     ) -> Result<Cell, CircuitError> {
-        let (gate, area) = match self.recipe {
-            CellRecipe::PseudoE { sizing } => {
-                let gate = organic_gate_shifted(
-                    kind,
-                    &sizing,
-                    self.vdd,
-                    self.vss,
-                    overlay.organic_delta_vt,
-                );
-                let area = organic_gate_area(&gate);
-                (gate, area)
-            }
-            CellRecipe::Cmos { l, .. } => (cmos_gate(kind, l, self.vdd), silicon_gate_area(kind)),
+        let gate = self.gate(kind, overlay);
+        let area = match self.recipe {
+            CellRecipe::PseudoE { .. } => organic_gate_area(&gate),
+            CellRecipe::Cmos { .. } => silicon_gate_area(kind),
         };
         let timing = characterize_gate(&gate, &self.characterize)?;
         let leakage_w = measure_static_power(&gate)?;
@@ -297,6 +288,17 @@ impl Technology {
             switching_energy: 2.0 * gate.input_cap * self.vdd * self.vdd,
             timing,
         })
+    }
+
+    /// One library cell's transistor netlist at a parameter point, at the
+    /// technology's sizing and rails.
+    pub fn gate(&self, kind: LogicKind, overlay: &ParamOverlay) -> GateCircuit {
+        match self.recipe {
+            CellRecipe::PseudoE { sizing } => {
+                organic_gate_shifted(kind, &sizing, self.vdd, self.vss, overlay.organic_delta_vt)
+            }
+            CellRecipe::Cmos { l, .. } => cmos_gate(kind, l, self.vdd),
+        }
     }
 
     /// Folds the five characterized combinational cells, in

@@ -4,8 +4,8 @@
 //! them in the paper's layout. See DESIGN.md §4 for the experiment index.
 
 use bdc_cells::{
-    cmos_gate, library::cell_summary, measure_inverter_dc, organic_inverter, CellKind, DcSummary,
-    LogicKind, OrganicSizing, OrganicStyle,
+    library::cell_summary, measure_inverter_dc, organic_inverter, CellKind, CellRecipe, DcSummary,
+    LogicKind, OrganicSizing, OrganicStyle, ParamOverlay, Technology,
 };
 use bdc_circuit::CircuitError;
 use bdc_device::{
@@ -23,6 +23,16 @@ use crate::flow::{
     synthesize_core_cached, SynthesizedCore,
 };
 use crate::process::{Process, TechKit};
+
+/// The organic technology and its pseudo-E cell sizing: the operating
+/// point of the library inverters that figures build outside the library.
+pub(crate) fn organic_library_point() -> (&'static Technology, OrganicSizing) {
+    let tech = Process::Organic.tech();
+    let CellRecipe::PseudoE { sizing } = tech.recipe else {
+        unreachable!("the organic technology builds pseudo-E cells")
+    };
+    (tech, sizing)
+}
 
 /// Simulation budget for IPC measurements.
 #[derive(Debug, Clone, Copy)]
@@ -269,13 +279,11 @@ pub fn table_mapping_preference(kit: &TechKit) -> (bool, bool) {
 /// # Errors
 /// Propagates simulator failures.
 pub fn table_inverter_dc() -> Result<(DcSummary, DcSummary), CircuitError> {
-    let org = organic_inverter(
-        OrganicStyle::PseudoE,
-        &OrganicSizing::library_default(),
-        5.0,
-        -15.0,
-    );
-    let si = cmos_gate(LogicKind::Inv, 450.0e-9, 1.0);
+    let (tech, sizing) = organic_library_point();
+    let org = organic_inverter(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss);
+    let si = Process::Silicon
+        .tech()
+        .gate(LogicKind::Inv, &ParamOverlay::default());
     Ok((
         measure_inverter_dc(&org, 121)?,
         measure_inverter_dc(&si, 121)?,

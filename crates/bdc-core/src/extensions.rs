@@ -13,13 +13,13 @@
 //!   Monte-Carlo V_T spread moves V_M; retuning V_SS with the Figure 8
 //!   slope recentres it.
 
-use bdc_cells::{measure_inverter_dc, organic_inverter_shifted, OrganicSizing, OrganicStyle};
+use bdc_cells::{measure_inverter_dc, organic_inverter_shifted, OrganicStyle};
 use bdc_circuit::CircuitError;
 use bdc_synth::power::{energy_per_instruction, estimate_power, PowerReport};
 use bdc_uarch::Workload;
 
 use crate::corespec::{stage_netlist, CoreSpec, StageKind};
-use crate::experiments::SimBudget;
+use crate::experiments::{organic_library_point, SimBudget};
 use crate::flow::{measure_ipc_cached, performance, split_critical, synthesize_core_cached};
 use crate::process::TechKit;
 
@@ -273,15 +273,15 @@ pub struct DegradationPoint {
 /// Propagates simulator failures.
 pub fn degradation_sweep(lives: &[f64]) -> Result<Vec<DegradationPoint>, CircuitError> {
     use bdc_cells::{characterize_gate, organic_inverter_aged, CharacterizeConfig};
-    let sizing = OrganicSizing::library_default();
+    let (tech, sizing) = organic_library_point();
     let mut out = Vec::with_capacity(lives.len());
     for &life in lives {
-        let gate = organic_inverter_aged(OrganicStyle::PseudoE, &sizing, 5.0, -15.0, life);
+        let gate = organic_inverter_aged(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss, life);
         let dc = measure_inverter_dc(&gate, 81)?;
         let cfg = CharacterizeConfig {
             slews: vec![60.0e-6],
             loads: vec![4.0 * gate.input_cap],
-            ..CharacterizeConfig::organic()
+            ..tech.characterize.clone()
         };
         let delay = match characterize_gate(&gate, &cfg) {
             Ok(t) => t.delay_worst().lookup(60.0e-6, 4.0 * gate.input_cap),
@@ -333,9 +333,8 @@ pub struct VariationStudy {
 /// # Errors
 /// Propagates simulator failures.
 pub fn variation_tuning(n: usize, seed: u64) -> Result<VariationStudy, CircuitError> {
-    let sizing = OrganicSizing::library_default();
-    let vdd = 5.0;
-    let vss0 = -15.0;
+    let (tech, sizing) = organic_library_point();
+    let (vdd, vss0) = (tech.vdd, tech.vss);
     // Measure the compensation slope once (nominal device).
     let fig08 = crate::experiments::fig08_vss_regression()?;
     let slope = fig08.slope;

@@ -11,8 +11,7 @@ use std::fmt::Write as _;
 
 use bdc_cells::{
     characterize_dynamic, characterize_gate, explore_inverter_sizing, organic_dynamic_gate,
-    organic_gate, organic_inverter, CharacterizeConfig, LogicKind, OrganicSizing, OrganicStyle,
-    Utility,
+    organic_inverter, LogicKind, OrganicStyle, ParamOverlay, Utility,
 };
 use bdc_circuit::{describe, write_spice};
 use bdc_synth::blocks;
@@ -21,7 +20,7 @@ use bdc_synth::sta::analyze;
 use bdc_synth::stats::{coverage_ratio, netlist_stats, render_stats};
 use bdc_uarch::{build_workload, BpredKind, OooCore, Workload};
 
-use crate::experiments::{self, SimBudget};
+use crate::experiments::{self, organic_library_point, SimBudget};
 use crate::extensions;
 use crate::flow::{alu_cluster, performance, split_critical, synthesize_core_cached};
 use crate::report::{fmt_freq, fmt_time, render_matrix, render_series, render_table};
@@ -117,25 +116,28 @@ pub(super) fn fig04(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
 /// Figure 5: the three organic inverter schematics, as element listings
 /// and exportable SPICE decks.
 pub(super) fn fig05(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    let sizing = OrganicSizing::library_default();
+    let (tech, sizing) = organic_library_point();
     for (label, style, vdd, vss) in [
         ("(a) diode-load", OrganicStyle::DiodeLoad, 15.0, 0.0),
         ("(b) biased-load", OrganicStyle::BiasedLoad, 15.0, -5.0),
-        ("(c) pseudo-E", OrganicStyle::PseudoE, 5.0, -15.0),
+        ("(c) pseudo-E", OrganicStyle::PseudoE, tech.vdd, tech.vss),
     ] {
         let gate = organic_inverter(style, &sizing, vdd, vss);
         w!(out, "\n{label}  ({} transistors):", gate.transistor_count);
         out.push_str(&describe(&gate.circuit));
     }
     // Emit one full SPICE deck as the interchange artifact.
-    let pe = organic_inverter(OrganicStyle::PseudoE, &sizing, 5.0, -15.0);
+    let pe = organic_inverter(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss);
     w!(
         out,
         "\nSPICE deck of the pseudo-E inverter (for external cross-check):"
     );
     out.push_str(&write_spice(
         &pe.circuit,
-        "pseudo-E inverter, pentacene, VDD=5 VSS=-15",
+        &format!(
+            "pseudo-E inverter, pentacene, VDD={} VSS={}",
+            tech.vdd, tech.vss
+        ),
     ));
     Ok(())
 }
@@ -257,14 +259,14 @@ pub(super) fn fig08(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
 
 /// Figure 9: pseudo-E NAND and NOR gate schematics.
 pub(super) fn fig09(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    let sizing = OrganicSizing::library_default();
+    let tech = Process::Organic.tech();
     for (label, kind) in [
         ("(a) NAND2 — parallel pull-up networks", LogicKind::Nand2),
         ("(b) NOR2 — series pull-up networks", LogicKind::Nor2),
         ("NAND3", LogicKind::Nand3),
         ("NOR3", LogicKind::Nor3),
     ] {
-        let gate = organic_gate(kind, &sizing, 5.0, -15.0);
+        let gate = tech.gate(kind, &ParamOverlay::default());
         w!(out, "\n{label}  ({} transistors):", gate.transistor_count);
         out.push_str(&describe(&gate.circuit));
     }
@@ -747,18 +749,19 @@ pub(super) fn ext_degradation(_ctx: &RunCtx, out: &mut String) -> Result<(), Str
 
 /// Extension (paper §7, last paragraph): dynamic unipolar logic.
 pub(super) fn ext_dynamic_logic(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    let sizing = OrganicSizing::library_default();
+    let (tech, sizing) = organic_library_point();
     let load = 200.0e-12;
 
-    let static_inv = organic_inverter(OrganicStyle::PseudoE, &sizing, 5.0, -15.0);
-    let t_static = characterize_gate(&static_inv, &CharacterizeConfig::organic())
-        .map_err(|e| format!("static: {e:?}"))?;
+    let static_inv = organic_inverter(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss);
+    let t_static =
+        characterize_gate(&static_inv, &tech.characterize).map_err(|e| format!("static: {e:?}"))?;
     let d_static = t_static.delay_worst().lookup(60.0e-6, load);
     w!(
         out,
-        "static pseudo-E inverter : {} transistors, delay {:.1} us, needs VSS = -15 V",
+        "static pseudo-E inverter : {} transistors, delay {:.1} us, needs VSS = {} V",
         static_inv.transistor_count,
-        d_static * 1.0e6
+        d_static * 1.0e6,
+        tech.vss
     );
 
     for fan_in in [1usize, 2, 3] {

@@ -16,30 +16,23 @@
 //! ([`manifest_json`], wall times and stage reuse counters — explicitly
 //! *outside* the byte-determinism contract, like the fault counters).
 //!
-//! **Resumability:** a checkpointed sweep ([`run_sweep_checkpointed`])
-//! durably records every completed grid point (tmp + fsync + rename, the
-//! same torn-write discipline as the artifact store) as it finishes.
-//! After a crash — including SIGKILL mid-grid — `--resume` restores the
-//! completed points byte-for-byte from their checkpoints and recomputes
-//! only the unfinished ones, so the replayed transcript is identical to
-//! what an uninterrupted sweep would have printed. A torn or foreign
-//! checkpoint (wrong sweep identity, stale grid, parse failure) is
-//! silently treated as *unfinished*, never trusted.
+//! **Resumability:** a re-run is the resume. Every stage a point finishes
+//! is a crash-consistent artifact in the store, so after a crash —
+//! including SIGKILL mid-grid — running the same sweep again serves those
+//! stages as hits, recomputes only the ones the killed run never stored,
+//! and prints the transcript an uninterrupted sweep would have printed.
+//! The store holds nothing under `BDC_NO_CACHE` and drops what
+//! `BDC_CACHE_BUDGET_MB` evicts, so those stages recompute.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::time::Instant;
 
 use bdc_device::TftParams;
 use bdc_exec::json::Json;
 use bdc_exec::{enter_scope, new_scope, par_map, scope_counters, StageCount};
 
-use crate::registry::{self, NodeReport, RunReport};
+use crate::registry::{self, RunReport};
 use crate::stage::{stage_graph, ParamOverlay};
-
-/// Where `bdc sweep` checkpoints completed grid points, one JSON file per
-/// point, next to the manifest it feeds.
-pub const DEFAULT_CHECKPOINT_DIR: &str = "results/sweep_points";
 
 /// The swept knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,9 +171,6 @@ pub struct SweepReport {
     /// the first run concurrently, so the per-point `wall_s` values
     /// overlap and their sum exceeds this.
     pub elapsed_s: f64,
-    /// Points restored from a previous run's checkpoints instead of
-    /// recomputed (0 for a non-resumed sweep).
-    pub restored_points: usize,
     /// Per-point results, in grid order.
     pub points: Vec<SweepPoint>,
 }
@@ -201,266 +191,25 @@ pub struct SweepReport {
 /// scheduler), or a node failure at any point — a sweep with a failed
 /// point must not pass for a complete grid.
 pub fn run_sweep(spec: &SweepSpec, ids: &[&str], quick: bool) -> Result<SweepReport, String> {
-    run_sweep_checkpointed(spec, ids, quick, None, false)
-}
-
-/// [`run_sweep`] with durable per-point checkpointing and crash resume.
-///
-/// With a `checkpoint_dir`, every completed point is recorded there
-/// (tmp + fsync + rename) the moment it finishes — a SIGKILL mid-grid
-/// loses at most the points still in flight. With `resume` also set, the
-/// directory is scanned first: checkpoints matching this exact sweep
-/// identity (parameter, grid bounds, budget, and experiment list) restore
-/// their points without recomputation, and only the unfinished points
-/// run. Without `resume` the directory is cleared first so stale points
-/// from a different sweep can never leak into this one.
-///
-/// The first *pending* point runs alone (warming the overlay-independent
-/// stages with full node parallelism, exactly like a cold sweep) and the
-/// rest fan out across the worker pool.
-///
-/// # Errors
-/// See [`run_sweep`].
-pub fn run_sweep_checkpointed(
-    spec: &SweepSpec,
-    ids: &[&str],
-    quick: bool,
-    checkpoint_dir: Option<&Path>,
-    resume: bool,
-) -> Result<SweepReport, String> {
-    let values = spec.values();
-    let identity = sweep_identity(spec, ids, quick);
     // Wall-clock feeds only the manifest's telemetry, never the
     // transcript bytes.
     // bdc-lint: allow(D002, elapsed_s is sweep telemetry, not artifact bytes)
     let t_sweep = Instant::now();
-    let mut slots: Vec<Option<SweepPoint>> = match (checkpoint_dir, resume) {
-        (Some(dir), true) => load_checkpoints(dir, &identity, spec, quick, &values),
-        (Some(dir), false) => {
-            let _ = std::fs::remove_dir_all(dir);
-            values.iter().map(|_| None).collect()
-        }
-        (None, _) => values.iter().map(|_| None).collect(),
-    };
-    if let Some(dir) = checkpoint_dir {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let restored_points = slots.iter().filter(|s| s.is_some()).count();
-    let pending: Vec<(usize, f64)> = values
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(i, _)| slots[*i].is_none())
-        .collect();
-    if let Some(&(index, value)) = pending.first() {
-        let point = run_point(spec, ids, quick, index, value)?;
-        if let Some(dir) = checkpoint_dir {
-            checkpoint_point(dir, &identity, &point);
-        }
-        slots[index] = Some(point);
-        for point in par_map(&pending[1..], |&(index, value)| {
-            let point = run_point(spec, ids, quick, index, value)?;
-            if let Some(dir) = checkpoint_dir {
-                checkpoint_point(dir, &identity, &point);
-            }
-            Ok::<SweepPoint, String>(point)
+    let grid: Vec<(usize, f64)> = spec.values().into_iter().enumerate().collect();
+    let mut points = Vec::with_capacity(grid.len());
+    if let Some((&(index, value), rest)) = grid.split_first() {
+        points.push(run_point(spec, ids, quick, index, value)?);
+        for point in par_map(rest, |&(index, value)| {
+            run_point(spec, ids, quick, index, value)
         }) {
-            let point = point?;
-            let index = point.index;
-            slots[index] = Some(point);
+            points.push(point?);
         }
     }
-    // Every slot is filled: restored points were loaded above and every
-    // pending point either completed or propagated its error already.
-    let points: Vec<SweepPoint> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(points.len(), spec.count);
     Ok(SweepReport {
         spec: spec.clone(),
         quick,
         elapsed_s: t_sweep.elapsed().as_secs_f64(),
-        restored_points,
         points,
-    })
-}
-
-/// The string every checkpoint binds itself to: a resume may only restore
-/// points from a sweep over the same parameter, grid (bit-exact bounds),
-/// budget, and experiment list.
-fn sweep_identity(spec: &SweepSpec, ids: &[&str], quick: bool) -> String {
-    format!(
-        "{} {:016x}:{:016x}:{} quick={} ids={}",
-        spec.param.name(),
-        spec.start.to_bits(),
-        spec.end.to_bits(),
-        spec.count,
-        quick,
-        ids.join(",")
-    )
-}
-
-/// The checkpoint file name for one grid point.
-fn checkpoint_name(index: usize) -> String {
-    format!("point_{index:04}.json")
-}
-
-/// Durably records one completed point: write to a tmp sibling, fsync,
-/// rename into place. A crash at any step leaves either the old file or
-/// the new one, never a torn mix; a torn *tmp* file is never read.
-/// Returns whether the checkpoint landed (failure is non-fatal — the
-/// point simply recomputes on resume).
-pub fn checkpoint_point(dir: &Path, identity: &str, point: &SweepPoint) -> bool {
-    let path = dir.join(checkpoint_name(point.index));
-    let tmp = dir.join(format!("{}.tmp", checkpoint_name(point.index)));
-    let bytes = checkpoint_json(identity, point).encode();
-    let written = std::fs::File::create(&tmp)
-        .and_then(|mut f| {
-            use std::io::Write;
-            f.write_all(bytes.as_bytes())?;
-            f.sync_all()
-        })
-        .is_ok();
-    written && std::fs::rename(&tmp, &path).is_ok()
-}
-
-/// The durable form of one completed point: everything the transcript and
-/// manifest need to replay it byte-identically (node texts, stage
-/// tallies) plus the sweep identity that gates restoration.
-fn checkpoint_json(identity: &str, point: &SweepPoint) -> Json {
-    Json::Obj(vec![
-        ("bdc_sweep_checkpoint".into(), Json::Int(1)),
-        ("identity".into(), Json::str(identity)),
-        ("index".into(), Json::Int(point.index as i64)),
-        ("value".into(), Json::Num(point.value)),
-        ("wall_s".into(), Json::Num(point.wall_s)),
-        (
-            "stages".into(),
-            Json::Obj(
-                point
-                    .stages
-                    .iter()
-                    .map(|(name, (h, m))| {
-                        (
-                            name.clone(),
-                            Json::Obj(vec![
-                                ("hits".into(), Json::Int(*h as i64)),
-                                ("misses".into(), Json::Int(*m as i64)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "nodes".into(),
-            Json::Arr(
-                point
-                    .report
-                    .nodes
-                    .iter()
-                    .map(|n| {
-                        Json::Obj(vec![
-                            ("id".into(), Json::str(n.id)),
-                            ("wall_s".into(), Json::Num(n.wall_s)),
-                            ("cache_hit".into(), Json::Bool(n.cache_hit)),
-                            ("key".into(), Json::str(format!("{:016x}", n.key))),
-                            ("attempts".into(), Json::Int(i64::from(n.attempts))),
-                            ("text".into(), Json::str(n.text.as_str())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Scans the checkpoint directory for restorable points. A slot is `Some`
-/// only when its file exists, parses, carries the matching sweep
-/// identity, and round-trips its grid value bit-exactly — anything else
-/// (torn write, foreign sweep, renamed experiment) degrades to
-/// *unfinished* and recomputes.
-fn load_checkpoints(
-    dir: &Path,
-    identity: &str,
-    spec: &SweepSpec,
-    quick: bool,
-    values: &[f64],
-) -> Vec<Option<SweepPoint>> {
-    values
-        .iter()
-        .enumerate()
-        .map(|(index, _)| {
-            let raw = std::fs::read_to_string(dir.join(checkpoint_name(index))).ok()?;
-            let json = bdc_exec::json::parse(&raw).ok()?;
-            point_from_checkpoint(&json, identity, spec, quick, values, index)
-        })
-        .collect()
-}
-
-/// Reconstructs one [`SweepPoint`] from its checkpoint, validating the
-/// identity binding and the grid value before trusting any of it.
-fn point_from_checkpoint(
-    json: &Json,
-    identity: &str,
-    spec: &SweepSpec,
-    quick: bool,
-    values: &[f64],
-    index: usize,
-) -> Option<SweepPoint> {
-    if json.get("bdc_sweep_checkpoint")?.as_u64()? != 1 {
-        return None;
-    }
-    if json.get("identity")?.as_str()? != identity {
-        return None;
-    }
-    if json.get("index")?.as_u64()? as usize != index {
-        return None;
-    }
-    let value = json.get("value")?.as_f64()?;
-    if value.to_bits() != values[index].to_bits() {
-        return None;
-    }
-    let wall_s = json.get("wall_s")?.as_f64()?;
-    let mut stages = BTreeMap::new();
-    if let Json::Obj(members) = json.get("stages")? {
-        for (name, counts) in members {
-            stages.insert(
-                name.clone(),
-                (
-                    counts.get("hits")?.as_u64()?,
-                    counts.get("misses")?.as_u64()?,
-                ),
-            );
-        }
-    }
-    let mut nodes = Vec::new();
-    for node in json.get("nodes")?.as_arr()? {
-        let id = node.get("id")?.as_str()?;
-        // Re-anchor on the catalogue's 'static id; an id the catalogue no
-        // longer knows invalidates the whole checkpoint.
-        let id = registry::NODES.iter().find(|n| n.id == id)?.id;
-        nodes.push(NodeReport {
-            id,
-            wall_s: node.get("wall_s")?.as_f64()?,
-            cache_hit: matches!(node.get("cache_hit")?, Json::Bool(true)),
-            key: u64::from_str_radix(node.get("key")?.as_str()?, 16).ok()?,
-            text: node.get("text")?.as_str()?.to_string(),
-            attempts: u32::try_from(node.get("attempts")?.as_u64()?).ok()?,
-            error: None,
-        });
-    }
-    Some(SweepPoint {
-        index,
-        value,
-        overlay: spec.overlay_for(value),
-        wall_s,
-        stages,
-        report: RunReport {
-            quick,
-            workers: bdc_exec::workers(),
-            max_retries: registry::DEFAULT_MAX_RETRIES,
-            nodes,
-            faults: Default::default(),
-        },
     })
 }
 
@@ -597,10 +346,6 @@ pub fn manifest_json(report: &SweepReport) -> Json {
         ("count".into(), Json::Int(report.spec.count as i64)),
         ("quick".into(), Json::Bool(report.quick)),
         (
-            "restored_points".into(),
-            Json::Int(report.restored_points as i64),
-        ),
-        (
             "stage_key_collisions".into(),
             Json::Int(stage_key_collisions(report) as i64),
         ),
@@ -712,61 +457,43 @@ mod tests {
             "{manifest}"
         );
         assert!(manifest.contains("\"param\":\"organic.vt\""), "{manifest}");
-        assert!(manifest.contains("\"restored_points\":0"), "{manifest}");
     }
 
     #[test]
-    fn resume_restores_checkpointed_points_byte_identically() {
+    fn rerun_after_a_partial_sweep_recomputes_only_unfinished_work() {
         let _env = crate::testenv::cache_env_lock();
-        let dir = std::env::temp_dir().join(format!("bdc-resume-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("bdc-rerun-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("BDC_CACHE_DIR", dir.join("cache"));
-        let ckpt = dir.join("points");
-        let spec = SweepSpec::parse("organic.vt=-1.3:-1.2:2").unwrap();
+        // ext-parallel-array declares the organic library, so each new
+        // grid point has a miss cone; fig03 is dependency-free.
+        let ids = ["fig03", "ext-parallel-array"];
+        let grid = SweepSpec::parse("organic.vt=-1.3:-1.2:2").unwrap();
+        let misses = |report: &SweepReport| -> Vec<u64> {
+            report.points.iter().map(|p| p.totals().1).collect()
+        };
 
-        // A fresh checkpointed sweep: both points computed and recorded.
-        let cold = run_sweep_checkpointed(&spec, &["fig03"], true, Some(&ckpt), false)
-            .expect("cold sweep runs");
-        assert_eq!(cold.restored_points, 0);
-        assert!(ckpt.join("point_0000.json").exists());
-        assert!(ckpt.join("point_0001.json").exists());
+        // A sweep killed after point 0 leaves exactly that point's stages
+        // in the store.
+        std::env::set_var("BDC_CACHE_DIR", dir.join("a"));
+        let head = SweepSpec::parse("organic.vt=-1.3:-1.3:1").unwrap();
+        run_sweep(&head, &ids, true).expect("partial sweep runs");
 
-        // Simulate a crash that lost point 1: its checkpoint vanishes.
-        std::fs::remove_file(ckpt.join("point_0001.json")).unwrap();
-        let resumed = run_sweep_checkpointed(&spec, &["fig03"], true, Some(&ckpt), true)
-            .expect("resume runs");
-        assert_eq!(resumed.restored_points, 1, "point 0 restores, 1 recomputes");
-        assert_eq!(
-            render_transcript(&resumed),
-            render_transcript(&cold),
-            "resume must replay the transcript byte-identically"
-        );
+        // Re-running the full grid recomputes only point 1.
+        let rerun = run_sweep(&grid, &ids, true).expect("re-run sweeps");
+        let rerun_misses = misses(&rerun);
+        assert_eq!(rerun_misses[0], 0, "{rerun_misses:?}");
+        assert!(rerun_misses[1] > 0, "{rerun_misses:?}");
 
-        // Resuming a complete sweep recomputes nothing at all.
-        let warm = run_sweep_checkpointed(&spec, &["fig03"], true, Some(&ckpt), true)
-            .expect("idempotent resume");
-        assert_eq!(warm.restored_points, 2);
+        // Its transcript is the one a cold, uninterrupted sweep prints.
+        std::env::set_var("BDC_CACHE_DIR", dir.join("b"));
+        let cold = run_sweep(&grid, &ids, true).expect("cold sweep runs");
+        assert_eq!(render_transcript(&rerun), render_transcript(&cold));
+
+        // A further re-run of the finished grid recomputes nothing.
+        std::env::set_var("BDC_CACHE_DIR", dir.join("a"));
+        let warm = run_sweep(&grid, &ids, true).expect("warm re-run sweeps");
+        assert_eq!(misses(&warm).iter().sum::<u64>(), 0);
         assert_eq!(render_transcript(&warm), render_transcript(&cold));
-        let manifest = manifest_json(&warm).encode();
-        assert!(manifest.contains("\"restored_points\":2"), "{manifest}");
-
-        // A torn checkpoint is treated as unfinished, never trusted.
-        std::fs::write(ckpt.join("point_0000.json"), "{\"bdc_sweep_ch").unwrap();
-        let healed = run_sweep_checkpointed(&spec, &["fig03"], true, Some(&ckpt), true)
-            .expect("torn checkpoint heals");
-        assert_eq!(healed.restored_points, 1);
-        assert_eq!(render_transcript(&healed), render_transcript(&cold));
-
-        // A checkpoint from a *different* sweep (other grid) never
-        // restores into this one, and a fresh (non-resume) run clears
-        // the directory outright.
-        let other = SweepSpec::parse("organic.vt=-1.3:-1.1:2").unwrap();
-        let foreign = run_sweep_checkpointed(&other, &["fig03"], true, Some(&ckpt), true)
-            .expect("foreign spec sweeps clean");
-        assert_eq!(foreign.restored_points, 0);
-        let fresh = run_sweep_checkpointed(&spec, &["fig03"], true, Some(&ckpt), false)
-            .expect("fresh run clears checkpoints");
-        assert_eq!(fresh.restored_points, 0);
 
         std::env::remove_var("BDC_CACHE_DIR");
         let _ = std::fs::remove_dir_all(&dir);
