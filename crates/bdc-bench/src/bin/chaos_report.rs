@@ -6,9 +6,8 @@
 //! against an in-process daemon, recording what survived: nodes rendered
 //! vs failed, client responses after retries, quarantine/rebuild and
 //! panic-containment counters, and the daemon's health state after the
-//! burst. Prints a survival table and merges a `"chaos"` section into
-//! `BENCH_flow.json` (creating the file if `bench_report` has not run;
-//! re-encoding it compactly if it has).
+//! burst. Prints a survival table and writes it to
+//! `results/chaos_report.json`.
 //!
 //! The zero-rate level doubles as the determinism gate: with every rate
 //! at 0 the plan must complete all nodes first-try, the burst must see
@@ -336,24 +335,14 @@ fn survival_json(rows: &[Survival]) -> Json {
     ])
 }
 
-/// Merges the `"chaos"` section into `BENCH_flow.json`, preserving any
-/// sections `bench_report` already wrote (the file is re-encoded
-/// compactly) and starting a fresh object when it is absent or
-/// unparseable.
-fn write_bench_json(chaos: Json) {
-    let mut members = match std::fs::read_to_string("BENCH_flow.json")
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-    {
-        Some(Json::Obj(members)) => members,
-        _ => vec![("generated_by".into(), Json::str("chaos_report"))],
-    };
-    members.retain(|(k, _)| k != "chaos");
-    members.push(("chaos".into(), chaos));
-    let encoded = Json::Obj(members).encode();
-    match std::fs::write("BENCH_flow.json", encoded + "\n") {
-        Ok(()) => println!("\nwrote chaos section into BENCH_flow.json"),
-        Err(e) => eprintln!("chaos_report: could not write BENCH_flow.json: {e}"),
+/// Writes the survival table to `results/chaos_report.json`.
+fn write_report_json(report: &Json) {
+    let path = "results/chaos_report.json";
+    let written = std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(path, report.encode() + "\n"));
+    match written {
+        Ok(()) => println!("\nwrote {path}"),
+        Err(e) => eprintln!("chaos_report: could not write {path}: {e}"),
     }
 }
 
@@ -412,7 +401,7 @@ fn main() {
     }
     print!("{table}");
 
-    write_bench_json(survival_json(&rows));
+    write_report_json(&survival_json(&rows));
 
     match rows.iter().find(|s| s.label == "none") {
         Some(inert) if inert_level_is_clean(inert) => {

@@ -9,7 +9,8 @@
 //!
 //! - the `bdc` CLI (`bdc list`, `bdc run fig12 --quick`, `bdc run --all`),
 //! - `bdc-serve`'s `/v1/experiments` and `/v1/experiment` endpoints,
-//! - `bench_report`'s registry section and the CI smoke gate.
+//! - `bdc-verify`'s plan-graph analysis and `chaos_report`'s survival
+//!   ladder.
 //!
 //! Rendered node text is content-addressed in the shared artifact store
 //! through [`bdc_exec::cached`] (`exp-{id}-{key:016x}.txt`), so a warm `bdc run
@@ -72,8 +73,8 @@ const ORGANIC_LIB: &[Dep] = &[Dep::Library(Process::Organic)];
 const NO_DEPS: &[Dep] = &[];
 
 /// The full catalogue, in render order (figures, tables, extensions,
-/// ablations). `bdc list`, `bdc run --all`, `/v1/experiments` and
-/// `bench_report` all iterate this slice.
+/// ablations). `bdc list`, `bdc run --all`, `/v1/experiments`,
+/// `bdc verify` and `chaos_report` all iterate this slice.
 pub static NODES: &[Node] = &[
     Node {
         id: "fig03",

@@ -204,14 +204,16 @@ fn ledger_generations(root: &Path) -> BTreeMap<String, u64> {
 }
 
 /// Appends one `<gen> <filename>` line to a ledger (best effort — the
-/// ledger is recency metadata, never a correctness dependency).
+/// ledger is recency metadata, never a correctness dependency). The line
+/// goes out in one `write` on an `O_APPEND` handle, so concurrent
+/// appenders never interleave inside a line.
 fn append_gen_ledger(path: &Path, gen: u64, filename: &str) {
     if let Ok(mut f) = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
     {
-        let _ = writeln!(f, "{gen:020} {filename}");
+        let _ = f.write_all(format!("{gen:020} {filename}\n").as_bytes());
     }
 }
 
@@ -1071,6 +1073,49 @@ mod tests {
         assert!(!qfile.exists(), "stale quarantine must be reaped");
         let delta = faults::counters().since(&before);
         assert_eq!(delta.quarantine_reaped, 1);
+        let _ = std::fs::remove_dir_all(c.root());
+    }
+
+    #[test]
+    fn concurrent_stores_append_whole_ledger_lines() {
+        let c = temp_cache("ledger-race");
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (c, start) = (&c, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..100 {
+                        assert!(c.store("race", t * 1000 + i, "payload"));
+                    }
+                });
+            }
+        });
+        // Every line must be `^\d{20} \S+\.txt$`, and name each stored
+        // artifact exactly once.
+        let ledger = std::fs::read_to_string(c.root().join(LEDGER_FILE)).unwrap();
+        let mut mentions: BTreeMap<&str, usize> = BTreeMap::new();
+        for line in ledger.lines() {
+            let (gen, file) = line.split_once(' ').unwrap_or((line, ""));
+            let whole = gen.len() == 20
+                && gen.bytes().all(|b| b.is_ascii_digit())
+                && file.len() > ".txt".len()
+                && file.ends_with(".txt")
+                && !file.contains(char::is_whitespace);
+            assert!(whole, "torn ledger line {line:?}");
+            *mentions.entry(file).or_default() += 1;
+        }
+        let stored: Vec<String> = std::fs::read_dir(c.root())
+            .unwrap()
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|f| f.ends_with(".txt"))
+            .collect();
+        assert_eq!(stored.len(), 800);
+        for file in &stored {
+            assert_eq!(mentions.get(file.as_str()), Some(&1), "{file}");
+        }
+        assert_eq!(mentions.len(), stored.len());
         let _ = std::fs::remove_dir_all(c.root());
     }
 
