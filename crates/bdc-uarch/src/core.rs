@@ -45,6 +45,8 @@ struct RobEntry {
     value: Option<u32>,
     /// Store address/data once the store executes.
     store: Option<(u32, u32)>,
+    /// Next PC resolved at issue (read for control instructions).
+    actual_next: u32,
     /// Cycle the result becomes visible.
     complete_at: u64,
     /// Predicted next PC (for control instructions).
@@ -85,6 +87,12 @@ pub struct OooCore {
     map: [Option<u64>; 16],
     /// Busy-until cycle per pipe: [mem, ctrl, alu0, alu1, …].
     pipe_busy: Vec<u64>,
+    /// ROB entries still in the issue queue (`in_iq`).
+    iq_len: usize,
+    /// Memory ops in the ROB that are not yet `Done`.
+    lsq_len: usize,
+    /// Lower bound on `complete_at` over `Executing` entries.
+    next_complete: u64,
     halted: bool,
     stats: SimStats,
 }
@@ -110,6 +118,9 @@ impl OooCore {
             head_seq: 0,
             map: [None; 16],
             pipe_busy: vec![0; pipes],
+            iq_len: 0,
+            lsq_len: 0,
+            next_complete: u64::MAX,
             halted: false,
             cfg,
             stats: SimStats::default(),
@@ -173,33 +184,42 @@ impl OooCore {
     // ---- writeback / branch resolution -------------------------------------
 
     fn complete(&mut self) {
+        let cycle = self.cycle;
+        if cycle < self.next_complete {
+            return;
+        }
         // Collect completions in age order to resolve the oldest mispredict.
         let mut flush_after: Option<(u64, u32)> = None;
+        let mut next_complete = u64::MAX;
         for i in 0..self.rob.len() {
-            let cycle = self.cycle;
             let e = &mut self.rob[i];
-            if e.state == Exec::Executing && e.complete_at <= cycle {
-                e.state = Exec::Done;
-                if e.instr.op.is_control() {
-                    // Actual next PC computed at execute time was stashed in
-                    // `value` for jumps (link) — recompute from captured
-                    // operands stored in `store` (reused as (next_pc, 0)).
-                    let (actual_next, _) = e.store.expect("control resolved");
-                    let taken = actual_next != e.pc.wrapping_add(1);
-                    let mispredicted = actual_next != e.pred_next;
-                    let (pc, op, pht) = (e.pc, e.instr.op, e.pht_index);
-                    self.bpred
-                        .update(pc, op, taken, actual_next, mispredicted, pht);
-                    if mispredicted {
-                        self.stats.mispredicts += 1;
-                        let seq = self.rob[i].seq;
-                        if flush_after.is_none_or(|(s, _)| seq < s) {
-                            flush_after = Some((seq, actual_next));
-                        }
+            if e.state != Exec::Executing {
+                continue;
+            }
+            if e.complete_at > cycle {
+                next_complete = next_complete.min(e.complete_at);
+                continue;
+            }
+            e.state = Exec::Done;
+            if e.instr.op.is_mem() {
+                self.lsq_len -= 1;
+            }
+            if e.instr.op.is_control() {
+                let actual_next = e.actual_next;
+                let taken = actual_next != e.pc.wrapping_add(1);
+                let mispredicted = actual_next != e.pred_next;
+                let (pc, op, pht, seq) = (e.pc, e.instr.op, e.pht_index, e.seq);
+                self.bpred
+                    .update(pc, op, taken, actual_next, mispredicted, pht);
+                if mispredicted {
+                    self.stats.mispredicts += 1;
+                    if flush_after.is_none_or(|(s, _)| seq < s) {
+                        flush_after = Some((seq, actual_next));
                     }
                 }
             }
         }
+        self.next_complete = next_complete;
         if let Some((seq, correct_pc)) = flush_after {
             self.flush_younger_than(seq, correct_pc);
         }
@@ -208,11 +228,12 @@ impl OooCore {
     fn flush_younger_than(&mut self, seq: u64, correct_pc: u32) {
         self.stats.flushes += 1;
         while let Some(back) = self.rob.back() {
-            if back.seq > seq {
-                self.rob.pop_back();
-            } else {
+            if back.seq <= seq {
                 break;
             }
+            self.iq_len -= usize::from(back.in_iq);
+            self.lsq_len -= usize::from(back.instr.op.is_mem() && back.state != Exec::Done);
+            self.rob.pop_back();
         }
         // Keep ROB seqs contiguous: squashed sequence numbers are reused.
         self.next_seq = seq + 1;
@@ -296,13 +317,9 @@ impl OooCore {
                 continue;
             }
             let instr = self.rob[i].instr;
-            let srcs = instr.sources();
             let producers = self.rob[i].producers;
-            let ready = srcs
-                .iter()
-                .enumerate()
-                .all(|(k, _)| self.producer_ready(producers[k]));
-            if !ready {
+            // A missing source has no producer, so it is always ready.
+            if !producers.iter().all(|&p| self.producer_ready(p)) {
                 continue;
             }
             // Loads additionally wait for all older stores to resolve.
@@ -322,14 +339,9 @@ impl OooCore {
             let Some(pipe) = pipe else { continue };
 
             // Capture operand values.
-            let vals: Vec<u32> = srcs
-                .iter()
-                .enumerate()
-                .map(|(k, &r)| self.source_value(r, producers[k]))
-                .collect();
             let mut regs = [0u32; 16];
-            for (k, &r) in srcs.iter().enumerate() {
-                regs[r.0 as usize] = vals[k];
+            for (k, &r) in instr.sources().iter().enumerate() {
+                regs[r.0 as usize] = self.source_value(r, producers[k]);
             }
 
             let pc = self.rob[i].pc;
@@ -341,30 +353,30 @@ impl OooCore {
                 1
             };
             self.pipe_busy[pipe] = cycle + occupy;
+            let complete_at = cycle + extra + latency;
+            self.next_complete = self.next_complete.min(complete_at);
+            self.iq_len -= 1;
             let e = &mut self.rob[i];
             e.state = Exec::Executing;
-            e.complete_at = cycle + extra + latency;
+            e.complete_at = complete_at;
             e.value = value;
-            e.store = if instr.op.is_control() {
-                Some((next_pc, 0)) // stash resolution for `complete`
-            } else {
-                store
-            };
+            e.store = store;
+            e.actual_next = next_pc;
             e.in_iq = false;
         }
     }
 
     fn find_pipe(&self, op: Op, cycle: u64) -> Option<usize> {
-        let candidates: Vec<usize> = if op.is_mem() {
-            vec![0]
+        let mut candidates = if op.is_mem() {
+            0..1
         } else if op.is_control() {
-            vec![1]
+            1..2
         } else {
             // ALU and mul/div ops share pipes 2..: every ALU pipe has a
             // mul/div unit.
-            (2..self.pipe_busy.len()).collect()
+            2..self.pipe_busy.len()
         };
-        candidates.into_iter().find(|&p| self.pipe_busy[p] <= cycle)
+        candidates.find(|&p| self.pipe_busy[p] <= cycle)
     }
 
     /// Executes the operation functionally and returns
@@ -438,19 +450,12 @@ impl OooCore {
             if self.rob.len() >= self.cfg.rob_size {
                 break;
             }
-            let iq_occupancy = self.rob.iter().filter(|e| e.in_iq).count();
-            if iq_occupancy >= self.cfg.iq_size {
+            if self.iq_len >= self.cfg.iq_size {
                 break;
             }
-            if fe.instr.op.is_mem() {
-                let lsq = self
-                    .rob
-                    .iter()
-                    .filter(|e| e.instr.op.is_mem() && e.state != Exec::Done)
-                    .count();
-                if lsq >= self.cfg.lsq_size {
-                    break;
-                }
+            let is_mem = fe.instr.op.is_mem();
+            if is_mem && self.lsq_len >= self.cfg.lsq_size {
+                break;
             }
             let fe = self.front.pop_front().expect("peeked");
             let seq = self.next_seq;
@@ -468,6 +473,8 @@ impl OooCore {
             } else {
                 Exec::Waiting
             };
+            self.iq_len += usize::from(state == Exec::Waiting);
+            self.lsq_len += usize::from(is_mem);
             self.rob.push_back(RobEntry {
                 seq,
                 pc: fe.pc,
@@ -476,6 +483,7 @@ impl OooCore {
                 producers,
                 value: None,
                 store: None,
+                actual_next: 0,
                 complete_at: cycle,
                 pred_next: fe.pred_next,
                 pht_index: fe.pht_index,
@@ -613,9 +621,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deeper_frontend_hurts_branchy_code() {
-        // A data-dependent (hard-to-predict) branch pattern.
+    /// A data-dependent (hard-to-predict) branch pattern.
+    fn branchy_program() -> Program {
         let mut a = Asm::new();
         let top = a.label();
         let skip = a.label();
@@ -638,8 +645,12 @@ mod tests {
         a.addi(Reg(1), Reg(1), 1);
         a.blt(Reg(1), Reg(2), top);
         a.halt();
-        let p = a.assemble();
+        a.assemble()
+    }
 
+    #[test]
+    fn deeper_frontend_hurts_branchy_code() {
+        let p = branchy_program();
         let shallow = OooCore::new(&p, CoreConfig::baseline(), 1 << 14).run(300_000);
         let mut deep_cfg = CoreConfig::baseline();
         for _ in 0..6 {
@@ -659,8 +670,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn store_load_forwarding_is_correct() {
+    /// Stores followed by loads of the same word, forwarded in flight.
+    fn forwarding_program() -> Program {
         let mut a = Asm::new();
         a.li(Reg(1), 64);
         a.li(Reg(2), 123);
@@ -670,12 +681,73 @@ mod tests {
         a.sw(Reg(3), Reg(1), 0);
         a.lw(Reg(4), Reg(1), 0);
         a.halt();
-        let p = a.assemble();
+        a.assemble()
+    }
+
+    #[test]
+    fn store_load_forwarding_is_correct() {
+        let p = forwarding_program();
         let mut core = OooCore::new(&p, CoreConfig::with_widths(4, 6), 4096);
         core.run(1000);
         assert_eq!(core.arch_regs()[3], 124);
         assert_eq!(core.arch_regs()[4], 124);
         assert_eq!(core.memory().read(64), 124);
+    }
+
+    /// Ticks `core` until HALT retires or `max_cycles` pass, and after
+    /// every tick checks the occupancy counters and the completion bound
+    /// against a full recount of the ROB.
+    fn tick_checking_counters(core: &mut OooCore, max_cycles: u64) {
+        while !core.halted && core.cycle < max_cycles {
+            core.tick();
+            let iq = core.rob.iter().filter(|e| e.in_iq).count();
+            let lsq = core
+                .rob
+                .iter()
+                .filter(|e| e.instr.op.is_mem() && e.state != Exec::Done)
+                .count();
+            let earliest = core
+                .rob
+                .iter()
+                .filter(|e| e.state == Exec::Executing)
+                .map(|e| e.complete_at)
+                .min()
+                .unwrap_or(u64::MAX);
+            let at = core.cycle;
+            assert_eq!(core.iq_len, iq, "iq_len at cycle {at}");
+            assert_eq!(core.lsq_len, lsq, "lsq_len at cycle {at}");
+            assert!(
+                core.next_complete <= earliest,
+                "next_complete {} > earliest completion {earliest} at cycle {at}",
+                core.next_complete
+            );
+        }
+    }
+
+    #[test]
+    fn counters_agree_with_a_rob_recount_every_tick() {
+        use crate::workloads::{build_workload, Workload};
+        let mut small_queues = CoreConfig::with_widths(4, 6);
+        small_queues.iq_size = 4;
+        small_queues.lsq_size = 2;
+        let configs = [CoreConfig::baseline(), CoreConfig::with_widths(6, 7), small_queues];
+        let mut programs: Vec<(Program, usize)> = Workload::all()
+            .into_iter()
+            .map(|w| (build_workload(w, 20), w.memory_words()))
+            .collect();
+        programs.push((branchy_program(), 1 << 14));
+        programs.push((forwarding_program(), 4096));
+        for cfg in &configs {
+            for (p, words) in &programs {
+                let mut core = OooCore::new(p, cfg.clone(), *words);
+                tick_checking_counters(&mut core, 20_000);
+                assert!(core.stats.instructions > 0);
+            }
+        }
+        // The branchy program must actually exercise the flush path.
+        let mut core = OooCore::new(&programs[7].0, CoreConfig::baseline(), 1 << 14);
+        tick_checking_counters(&mut core, 20_000);
+        assert!(core.stats.flushes > 100, "flushes {}", core.stats.flushes);
     }
 
     #[test]

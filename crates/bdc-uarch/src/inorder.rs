@@ -107,7 +107,7 @@ impl InOrderCore {
 
             // Issue stalls until sources are ready (full bypassing assumed).
             let mut issue = self.cycle + 1;
-            for src in instr.sources() {
+            for src in instr.sources().iter() {
                 issue = issue.max(self.reg_ready[src.0 as usize]);
             }
 

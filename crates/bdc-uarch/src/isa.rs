@@ -230,14 +230,15 @@ impl Instr {
     }
 
     /// Registers this instruction reads.
-    pub fn sources(&self) -> Vec<Reg> {
-        match self.op {
-            Op::Lui | Op::Jal => vec![],
-            Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Lw | Op::Jalr => {
-                vec![self.rs1]
-            }
-            Op::Halt => vec![],
-            _ => vec![self.rs1, self.rs2],
+    pub fn sources(&self) -> Sources {
+        let len = match self.op {
+            Op::Lui | Op::Jal | Op::Halt => 0,
+            Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slti | Op::Lw | Op::Jalr => 1,
+            _ => 2,
+        };
+        Sources {
+            regs: [self.rs1, self.rs2],
+            len,
         }
     }
 
@@ -248,6 +249,22 @@ impl Instr {
             Op::Sw | Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Halt
         );
         (writes && self.rd != Reg::ZERO).then_some(self.rd)
+    }
+}
+
+/// The registers an instruction reads, in operand order: a two-slot
+/// value that derefs to `[Reg]`, so reading it allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sources {
+    regs: [Reg; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for Sources {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len]
     }
 }
 
@@ -304,7 +321,7 @@ mod tests {
             rs2: Reg(2),
             imm: 0,
         };
-        assert_eq!(add.sources(), vec![Reg(1), Reg(2)]);
+        assert_eq!(*add.sources(), [Reg(1), Reg(2)]);
         assert_eq!(add.dest(), Some(Reg(3)));
         let sw = Instr {
             op: Op::Sw,
