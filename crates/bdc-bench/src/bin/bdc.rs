@@ -123,6 +123,7 @@ fn cmd_run(args: &[String]) -> ! {
         report.workers,
         hits
     );
+    eprintln!("  {:<22} {:>8.3}s", "(library prewarm)", report.prewarm_s);
     for node in &report.nodes {
         let outcome = if !node.ok() {
             "FAILED"

@@ -569,6 +569,12 @@ pub struct RunReport {
     pub max_retries: u32,
     /// Per-node results, in catalogue order.
     pub nodes: Vec<NodeReport>,
+    /// Wall time of the library prewarm that runs before any node's
+    /// clock starts, in seconds.
+    pub prewarm_s: f64,
+    /// Wall time of the whole plan (key checks, prewarm and nodes), in
+    /// seconds.
+    pub wall_s: f64,
     /// Fault/recovery counter deltas accumulated during this plan.
     pub faults: faults::FaultCounters,
 }
@@ -643,6 +649,10 @@ pub fn run_plan_with_overlay(
         }
     }
     let selected: Vec<&'static Node> = NODES.iter().filter(|n| ids.contains(&n.id)).collect();
+    // Wall-clock feeds only the manifest's telemetry columns, never the
+    // rendered (cached) bytes.
+    // bdc-lint: allow(D002, plan wall_s and prewarm_s are run telemetry, not artifact bytes)
+    let plan_t0 = Instant::now();
 
     let ctx = RunCtx::with_overlay(quick, overlay);
 
@@ -671,7 +681,10 @@ pub fn run_plan_with_overlay(
     // Prewarm failures are not fatal: the dependent nodes re-surface the
     // same error as per-node `failed` rows, and independent nodes still
     // run to completion.
+    // bdc-lint: allow(D002, prewarm_s is run telemetry, not artifact bytes)
+    let prewarm_t0 = Instant::now();
     let _ = par_map(&libs, |p| ctx.kit(*p).map(|_| ()));
+    let prewarm_s = prewarm_t0.elapsed().as_secs_f64();
 
     let before = faults::counters();
     let nodes = par_map(&selected, |node| {
@@ -732,6 +745,8 @@ pub fn run_plan_with_overlay(
         workers: bdc_exec::workers(),
         max_retries,
         nodes,
+        prewarm_s,
+        wall_s: plan_t0.elapsed().as_secs_f64(),
         faults: faults::counters().since(&before),
     })
 }
@@ -812,6 +827,8 @@ pub fn manifest_json(report: &RunReport) -> Json {
                     .collect(),
             ),
         ),
+        ("prewarm_s".into(), Json::Num(report.prewarm_s)),
+        ("wall_s".into(), Json::Num(report.wall_s)),
         ("faults".into(), fault_counters_json(&report.faults)),
     ])
 }
