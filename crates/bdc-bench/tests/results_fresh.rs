@@ -34,8 +34,8 @@ fn every_node_render_matches_its_results_file() {
     for (node, out) in NODES.iter().zip(&report.nodes) {
         assert!(out.ok(), "{}: {:?}", node.id, out.error);
         let path = results.join(format!("{}.txt", node.legacy_bin));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let committed =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         if committed != out.text {
             stale.push(format!("{} ({})", path.display(), node.id));
         }

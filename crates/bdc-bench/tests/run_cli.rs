@@ -29,5 +29,8 @@ fn cold_table_library_manifest_times_the_library_prewarm() {
     let prewarm_s = field("prewarm_s").expect("prewarm_s");
     let wall_s = field("wall_s").expect("wall_s");
     assert!(prewarm_s > 0.0, "a cold library prewarm took {prewarm_s} s");
-    assert!(wall_s >= prewarm_s, "plan {wall_s} s < prewarm {prewarm_s} s");
+    assert!(
+        wall_s >= prewarm_s,
+        "plan {wall_s} s < prewarm {prewarm_s} s"
+    );
 }

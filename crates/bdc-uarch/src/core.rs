@@ -730,7 +730,11 @@ mod tests {
         let mut small_queues = CoreConfig::with_widths(4, 6);
         small_queues.iq_size = 4;
         small_queues.lsq_size = 2;
-        let configs = [CoreConfig::baseline(), CoreConfig::with_widths(6, 7), small_queues];
+        let configs = [
+            CoreConfig::baseline(),
+            CoreConfig::with_widths(6, 7),
+            small_queues,
+        ];
         let mut programs: Vec<(Program, usize)> = Workload::all()
             .into_iter()
             .map(|w| (build_workload(w, 20), w.memory_words()))
