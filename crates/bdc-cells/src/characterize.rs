@@ -575,6 +575,7 @@ fn edge_pack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::technology::organic_library_point;
     use crate::topology::{
         cmos_gate, organic_gate, organic_inverter, LogicKind, OrganicSizing, OrganicStyle,
     };
@@ -595,7 +596,13 @@ mod tests {
 
     #[test]
     fn organic_inverter_delay_in_tens_of_microseconds() {
-        let g = organic_inverter(OrganicStyle::PseudoE, &OrganicSizing::default(), 5.0, -15.0);
+        let g = organic_inverter(
+            organic_library_point().1,
+            OrganicStyle::PseudoE,
+            &OrganicSizing::default(),
+            5.0,
+            -15.0,
+        );
         let cfg = CharacterizeConfig::organic();
         let t = characterize_gate(&g, &cfg).expect("characterize");
         let d = t.delay_worst().lookup(60.0e-6, 4.0 * g.input_cap);
@@ -621,7 +628,13 @@ mod tests {
 
     #[test]
     fn organic_silicon_gate_speed_ratio_is_enormous() {
-        let org = organic_inverter(OrganicStyle::PseudoE, &OrganicSizing::default(), 5.0, -15.0);
+        let org = organic_inverter(
+            organic_library_point().1,
+            OrganicStyle::PseudoE,
+            &OrganicSizing::default(),
+            5.0,
+            -15.0,
+        );
         let si = cmos_gate(LogicKind::Inv, 450.0e-9, 1.0);
         let t_org = characterize_gate(&org, &CharacterizeConfig::organic()).unwrap();
         let t_si = characterize_gate(&si, &CharacterizeConfig::silicon()).unwrap();
@@ -672,7 +685,13 @@ mod tests {
 
     #[test]
     fn pseudo_e_dc_summary_sane() {
-        let g = organic_inverter(OrganicStyle::PseudoE, &OrganicSizing::default(), 5.0, -15.0);
+        let g = organic_inverter(
+            organic_library_point().1,
+            OrganicStyle::PseudoE,
+            &OrganicSizing::default(),
+            5.0,
+            -15.0,
+        );
         let s = measure_inverter_dc(&g, 101).expect("dc");
         assert!(s.vm > 1.5 && s.vm < 3.5, "vm = {}", s.vm);
         assert!(s.max_gain > 1.8, "gain = {}", s.max_gain);
@@ -683,6 +702,7 @@ mod tests {
 #[cfg(test)]
 mod calib {
     use super::*;
+    use crate::technology::organic_library_point;
     use crate::topology::*;
 
     /// Prints the §4.3 inverter design-space rows; run with
@@ -692,7 +712,13 @@ mod calib {
     fn print_pseudo_e_metrics() {
         let sz = OrganicSizing::library_default();
         for vss in [-10.0, -12.0, -14.0, -16.0, -18.0, -20.0] {
-            let g = organic_inverter(OrganicStyle::PseudoE, &sz, 5.0, vss);
+            let g = organic_inverter(
+                organic_library_point().1,
+                OrganicStyle::PseudoE,
+                &sz,
+                5.0,
+                vss,
+            );
             let s = measure_inverter_dc(&g, 151).unwrap();
             println!(
                 "VSS={vss}: VM={:.2} gain={:.2} NMH={:.2} NML={:.2}",
@@ -709,7 +735,7 @@ mod calib {
                 output_load_w: lw * 1.0e-6,
                 ..sz
             };
-            let g = organic_inverter(style, &s2, 15.0, vss);
+            let g = organic_inverter(organic_library_point().1, style, &s2, 15.0, vss);
             let s = measure_inverter_dc(&g, 151).unwrap();
             println!(
                 "{style:?} lw={lw} VDD=15 VSS={vss}: VM={:.2} gain={:.2} NMH={:.2} NML={:.2} P_lo={:.1e} P_hi={:.1e}",

@@ -10,33 +10,30 @@
 //! The stage is therefore *non-inverting* (domino-style): `out = AND` of
 //! the input-low conditions.
 
-use std::sync::Arc;
-
 use bdc_circuit::{
     crossing_time, BatchLane, BatchTranSolver, Circuit, CircuitError, TranSolver, Waveform,
 };
-use bdc_device::{DeviceModel, Level61Model, TftParams};
+use bdc_device::TftParams;
 
-use crate::topology::{GateCircuit, OrganicSizing, ORGANIC_CHANNEL_L};
+use crate::topology::{input_cap, otft, GateCircuit, OrganicSizing, ORGANIC_CHANNEL_L};
 use crate::tracker::CrossTracker;
 
-fn otft(w: f64) -> Arc<dyn DeviceModel> {
-    Arc::new(Level61Model::new(TftParams::pentacene_sized(
-        w,
-        ORGANIC_CHANNEL_L,
-    )))
-}
-
-/// Builds a dynamic unipolar gate with `fan_in` series evaluation
-/// transistors (1 = dynamic buffer, 2 = dynamic AND2-of-lows, …).
+/// Builds a dynamic unipolar gate from `device` with `fan_in` series
+/// evaluation transistors (1 = dynamic buffer, 2 = dynamic AND2-of-lows, …).
 ///
 /// `inputs[0]` is the clock; logic inputs follow.
 ///
 /// # Panics
 /// Panics if `vdd <= 0` or `fan_in == 0`.
-pub fn organic_dynamic_gate(fan_in: usize, sizing: &OrganicSizing, vdd: f64) -> GateCircuit {
+pub fn organic_dynamic_gate(
+    device: &TftParams,
+    fan_in: usize,
+    sizing: &OrganicSizing,
+    vdd: f64,
+) -> GateCircuit {
     assert!(vdd > 0.0, "vdd must be positive");
     assert!(fan_in >= 1, "dynamic gate needs at least one input");
+    let fet = |w| otft(device, w, ORGANIC_CHANNEL_L);
     let mut c = Circuit::new();
     let n_vdd = c.node("vdd");
     let n_clk = c.node("clk");
@@ -44,7 +41,7 @@ pub fn organic_dynamic_gate(fan_in: usize, sizing: &OrganicSizing, vdd: f64) -> 
     let vdd_src = c.vsource(n_vdd, Circuit::GND, vdd);
     let clk_src = c.vsource(n_clk, Circuit::GND, 0.0);
     // Precharge FET: conducts while CLK is low, pulling OUT to VDD.
-    c.fet(n_out, n_clk, n_vdd, otft(sizing.output_drive_w));
+    c.fet(n_out, n_clk, n_vdd, fet(sizing.output_drive_w));
     // Evaluation stack: OUT → … → GND through p-FETs gated by the inputs.
     let mut inputs = vec![("CLK".to_string(), clk_src)];
     let mut src = n_out;
@@ -60,11 +57,10 @@ pub fn organic_dynamic_gate(fan_in: usize, sizing: &OrganicSizing, vdd: f64) -> 
         } else {
             c.node(&format!("ev{i}"))
         };
-        c.fet(dst, n_in, src, otft(w_eval));
+        c.fet(dst, n_in, src, fet(w_eval));
         src = dst;
         inputs.push((format!("A{i}"), in_src));
     }
-    let params = TftParams::pentacene_sized(sizing.output_drive_w, ORGANIC_CHANNEL_L);
     GateCircuit {
         circuit: c,
         inputs,
@@ -74,7 +70,7 @@ pub fn organic_dynamic_gate(fan_in: usize, sizing: &OrganicSizing, vdd: f64) -> 
         vdd,
         vss: 0.0,
         transistor_count: 1 + fan_in,
-        input_cap: params.gate_cap() + 2.0 * params.overlap_cap(),
+        input_cap: input_cap(device, sizing.output_drive_w),
         side_inputs_high: false,
     }
 }
@@ -256,11 +252,17 @@ fn dynamic_pack(
 mod tests {
     use super::*;
     use crate::characterize::{characterize_gate, CharacterizeConfig};
+    use crate::technology::organic_library_point;
     use crate::topology::{organic_inverter, OrganicStyle};
 
     #[test]
     fn dynamic_gate_evaluates_and_precharges() {
-        let g = organic_dynamic_gate(1, &OrganicSizing::library_default(), 5.0);
+        let g = organic_dynamic_gate(
+            organic_library_point().1,
+            1,
+            &OrganicSizing::library_default(),
+            5.0,
+        );
         assert_eq!(g.transistor_count, 2);
         let t = characterize_dynamic(&g, 200.0e-12, 3.0e-3).expect("dynamic sim");
         assert!(
@@ -274,8 +276,14 @@ mod tests {
     fn dynamic_beats_static_speed_with_fewer_transistors() {
         // The §7 claim: ~half the transistors, faster switching.
         let sizing = OrganicSizing::library_default();
-        let dynamic = organic_dynamic_gate(1, &sizing, 5.0);
-        let static_inv = organic_inverter(OrganicStyle::PseudoE, &sizing, 5.0, -15.0);
+        let dynamic = organic_dynamic_gate(organic_library_point().1, 1, &sizing, 5.0);
+        let static_inv = organic_inverter(
+            organic_library_point().1,
+            OrganicStyle::PseudoE,
+            &sizing,
+            5.0,
+            -15.0,
+        );
         assert!(dynamic.transistor_count * 2 <= static_inv.transistor_count);
 
         let load = 200.0e-12;
@@ -293,7 +301,12 @@ mod tests {
 
     #[test]
     fn batched_load_sweep_is_bit_identical_to_scalar() {
-        let g = organic_dynamic_gate(2, &OrganicSizing::library_default(), 5.0);
+        let g = organic_dynamic_gate(
+            organic_library_point().1,
+            2,
+            &OrganicSizing::library_default(),
+            5.0,
+        );
         let loads = [60.0e-12, 200.0e-12, 600.0e-12, 2.0e-9];
         let phase = 4.0e-3;
         // Call the pack directly so the test pins the batched kernel even
@@ -311,8 +324,8 @@ mod tests {
     #[test]
     fn deeper_stacks_evaluate_slower() {
         let sizing = OrganicSizing::library_default();
-        let g1 = organic_dynamic_gate(1, &sizing, 5.0);
-        let g3 = organic_dynamic_gate(3, &sizing, 5.0);
+        let g1 = organic_dynamic_gate(organic_library_point().1, 1, &sizing, 5.0);
+        let g3 = organic_dynamic_gate(organic_library_point().1, 3, &sizing, 5.0);
         let t1 = characterize_dynamic(&g1, 200.0e-12, 4.0e-3).expect("1-deep");
         let t3 = characterize_dynamic(&g3, 200.0e-12, 4.0e-3).expect("3-deep");
         assert!(t3.evaluate_delay > t1.evaluate_delay);

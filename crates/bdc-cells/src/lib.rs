@@ -39,10 +39,12 @@ pub use liberty::{parse_library, write_library, LibertyError};
 pub use library::{parse_cell_text, write_cell_text, Cell, CellKind, CellLibrary, DffTiming};
 pub use nldm::NldmTable;
 pub use sizing::{evaluate_sizing, explore_inverter_sizing, SizingCandidate, Utility};
-pub use technology::{BitCell, CellRecipe, ParamOverlay, Process, SyntheticConstants, Technology};
+pub use technology::{
+    organic_library_point, BitCell, CellRecipe, ParamOverlay, Process, SyntheticConstants,
+    Technology,
+};
 pub use topology::{
-    cmos_gate, organic_gate, organic_gate_shifted, organic_inverter, organic_inverter_aged,
-    organic_inverter_shifted, GateCircuit, LogicKind, OrganicSizing, OrganicStyle,
+    cmos_gate, organic_gate, organic_inverter, GateCircuit, LogicKind, OrganicSizing, OrganicStyle,
     ORGANIC_CHANNEL_L,
 };
 pub use wire::WireModel;

@@ -16,6 +16,7 @@
 use bdc_circuit::CircuitError;
 
 use crate::characterize::{characterize_gate, measure_inverter_dc, CharacterizeConfig};
+use crate::technology::organic_library_point;
 use crate::topology::{organic_inverter, OrganicSizing, OrganicStyle};
 
 /// Weights of the §4.3.4 utility function. Each term is normalized before
@@ -62,7 +63,8 @@ pub struct SizingCandidate {
     pub utility: f64,
 }
 
-/// Evaluates one sizing at the given rails.
+/// Evaluates one sizing of the organic technology's device at the given
+/// rails.
 ///
 /// # Errors
 /// Propagates simulator failures.
@@ -71,7 +73,13 @@ pub fn evaluate_sizing(
     vdd: f64,
     vss: f64,
 ) -> Result<(f64, f64, f64, f64, f64), CircuitError> {
-    let gate = organic_inverter(OrganicStyle::PseudoE, sizing, vdd, vss);
+    let gate = organic_inverter(
+        organic_library_point().1,
+        OrganicStyle::PseudoE,
+        sizing,
+        vdd,
+        vss,
+    );
     let dc = measure_inverter_dc(&gate, 81)?;
     // A single-point transient for speed (mid slew, FO4-like load).
     let cfg = CharacterizeConfig {

@@ -12,13 +12,14 @@
 use std::sync::OnceLock;
 
 use bdc_circuit::CircuitError;
+use bdc_device::TftParams;
 
 use crate::characterize::{
     characterize_gate, measure_static_power, CharacterizeConfig, GateTiming,
 };
 use crate::library::{Cell, CellKind, CellLibrary, DffTiming};
 use crate::topology::{
-    cmos_gate, organic_gate_shifted, GateCircuit, LogicKind, OrganicSizing, ORGANIC_CHANNEL_L,
+    cmos_gate, pseudo_e_gate, GateCircuit, LogicKind, OrganicSizing, ORGANIC_CHANNEL_L,
 };
 use crate::wire::WireModel;
 
@@ -110,16 +111,28 @@ impl ParamOverlay {
             organic_delta_vt: f64::from_bits(bits),
         })
     }
+
+    /// `device` at this point: its `vt0` shifted by
+    /// [`ParamOverlay::organic_delta_vt`]. The one place a V_T shift is
+    /// applied; `vt0 + 0.0` is exact for a nonzero `vt0`, so the default
+    /// overlay returns the device bit for bit.
+    pub fn apply(&self, device: &TftParams) -> TftParams {
+        TftParams {
+            vt0: device.vt0 + self.organic_delta_vt,
+            ..device.clone()
+        }
+    }
 }
 
 /// How a technology turns a logic function into a transistor netlist —
 /// the one real physics split between the processes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CellRecipe {
-    /// Unipolar p-type pseudo-E cells on the pentacene OTFT
-    /// (`TftParams::pentacene`); the overlay's V_T shift applies to every
-    /// transistor.
+    /// Unipolar p-type pseudo-E cells on one organic TFT; the overlay's
+    /// V_T shift applies to every transistor.
     PseudoE {
+        /// The nominal device, drawn at each transistor's geometry.
+        device: TftParams,
         /// Transistor geometries.
         sizing: OrganicSizing,
     },
@@ -211,6 +224,7 @@ fn pentacene() -> Technology {
         library_name: "pentacene-pseudoE",
         liberty_tag: "organic",
         recipe: CellRecipe::PseudoE {
+            device: TftParams::pentacene(),
             sizing: OrganicSizing::library_default(),
         },
         vdd: 5.0,
@@ -293,11 +307,11 @@ impl Technology {
     /// One library cell's transistor netlist at a parameter point, at the
     /// technology's sizing and rails.
     pub fn gate(&self, kind: LogicKind, overlay: &ParamOverlay) -> GateCircuit {
-        match self.recipe {
-            CellRecipe::PseudoE { sizing } => {
-                organic_gate_shifted(kind, &sizing, self.vdd, self.vss, overlay.organic_delta_vt)
+        match &self.recipe {
+            CellRecipe::PseudoE { device, sizing } => {
+                pseudo_e_gate(&overlay.apply(device), kind, sizing, self.vdd, self.vss)
             }
-            CellRecipe::Cmos { l, .. } => cmos_gate(kind, l, self.vdd),
+            CellRecipe::Cmos { l, .. } => cmos_gate(kind, *l, self.vdd),
         }
     }
 
@@ -325,6 +339,21 @@ impl Technology {
             BitCell::Latch { per_dff } => lib.cell(CellKind::Dff).area / per_dff,
         }
     }
+}
+
+/// The organic technology with its pseudo-E device and cell sizing: the
+/// operating point of the library's cells and of the organic circuits
+/// built outside the library.
+pub fn organic_library_point() -> (
+    &'static Technology,
+    &'static TftParams,
+    &'static OrganicSizing,
+) {
+    let tech = Process::Organic.tech();
+    let CellRecipe::PseudoE { device, sizing } = &tech.recipe else {
+        unreachable!("the organic technology builds pseudo-E cells")
+    };
+    (tech, device, sizing)
 }
 
 /// Area of an organic cell (µm²): every transistor occupies

@@ -18,6 +18,8 @@ use std::sync::Arc;
 use bdc_circuit::{Circuit, NodeId};
 use bdc_device::{DeviceModel, Level61Model, SiliconMosModel, SiliconMosParams, TftParams};
 
+use crate::technology::organic_library_point;
+
 /// Logic function of a combinational standard cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogicKind {
@@ -170,107 +172,24 @@ impl GateCircuit {
 /// The 80 µm channel length of the shadow-mask pentacene process.
 pub const ORGANIC_CHANNEL_L: f64 = 80.0e-6;
 
-/// Per-build device adjustments: Monte-Carlo V_T shift and transient-life
-/// aging (see [`TftParams::aged`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct DeviceTweak {
-    delta_vt: f64,
-    life: f64,
+/// One transistor of `device` drawn at `w` × `l`.
+pub(crate) fn otft(device: &TftParams, w: f64, l: f64) -> Arc<dyn DeviceModel> {
+    Arc::new(Level61Model::new(device.sized(w, l)))
 }
 
-impl DeviceTweak {
-    const NONE: DeviceTweak = DeviceTweak {
-        delta_vt: 0.0,
-        life: 0.0,
-    };
-
-    fn apply(&self, base: TftParams) -> TftParams {
-        let aged = base.aged(self.life);
-        TftParams {
-            vt0: aged.vt0 + self.delta_vt,
-            ..aged
-        }
-    }
-}
-
-/// A pentacene device with the given tweaks applied.
-fn otft_tweaked(w: f64, tweak: DeviceTweak) -> Arc<dyn DeviceModel> {
-    Arc::new(Level61Model::new(
-        tweak.apply(TftParams::pentacene_sized(w, ORGANIC_CHANNEL_L)),
-    ))
-}
-
-/// Builds an organic inverter whose transistors all carry a threshold-
-/// voltage shift `delta_vt` (V) — the Monte-Carlo handle for the paper's
-/// §4.1 cross-sample V_T spread and the §4.3.3 V_SS-compensation study.
-///
-/// # Panics
-/// Panics like [`organic_inverter`].
-pub fn organic_inverter_shifted(
-    style: OrganicStyle,
-    sizing: &OrganicSizing,
-    vdd: f64,
-    vss: f64,
-    delta_vt: f64,
-) -> GateCircuit {
-    organic_inverter_inner(
-        style,
-        sizing,
-        vdd,
-        vss,
-        DeviceTweak {
-            delta_vt,
-            life: 0.0,
-        },
-    )
-}
-
-/// Builds an organic inverter at a point in its transient (biodegradable)
-/// life: `life` = 0 is fresh, 1 is end of mission (see
-/// [`TftParams::aged`]). Used by the degradation extension experiment.
-///
-/// # Panics
-/// Panics like [`organic_inverter`], or if `life` is outside `[0, 1]`.
-pub fn organic_inverter_aged(
-    style: OrganicStyle,
-    sizing: &OrganicSizing,
-    vdd: f64,
-    vss: f64,
-    life: f64,
-) -> GateCircuit {
-    organic_inverter_inner(
-        style,
-        sizing,
-        vdd,
-        vss,
-        DeviceTweak {
-            delta_vt: 0.0,
-            life,
-        },
-    )
-}
-
-/// Builds one of the three organic inverter styles at the given rails.
+/// Builds one of the three organic inverter styles from `device` at the
+/// given rails.
 ///
 /// `vss` is only used by the biased-load and pseudo-E styles.
 ///
 /// # Panics
 /// Panics if `vdd <= 0` or (when used) `vss >= 0`.
 pub fn organic_inverter(
+    device: &TftParams,
     style: OrganicStyle,
     sizing: &OrganicSizing,
     vdd: f64,
     vss: f64,
-) -> GateCircuit {
-    organic_inverter_inner(style, sizing, vdd, vss, DeviceTweak::NONE)
-}
-
-fn organic_inverter_inner(
-    style: OrganicStyle,
-    sizing: &OrganicSizing,
-    vdd: f64,
-    vss: f64,
-    tweak: DeviceTweak,
 ) -> GateCircuit {
     assert!(vdd > 0.0, "vdd must be positive");
     let mut c = Circuit::new();
@@ -279,124 +198,63 @@ fn organic_inverter_inner(
     let n_out = c.node("out");
     let vdd_src = c.vsource(n_vdd, Circuit::GND, vdd);
     let in_src = c.vsource(n_in, Circuit::GND, 0.0);
+    let fet = |w| otft(device, w, ORGANIC_CHANNEL_L);
 
-    match style {
-        OrganicStyle::DiodeLoad => {
-            // Drive: pulls OUT to VDD when IN is low.
-            c.fet(
-                n_out,
-                n_in,
-                n_vdd,
-                otft_tweaked(sizing.output_drive_w, tweak),
-            );
-            // Diode-connected load to ground.
-            c.fet(
-                Circuit::GND,
-                Circuit::GND,
-                n_out,
-                otft_tweaked(sizing.diode_load_w, tweak),
-            );
-            GateCircuit {
-                circuit: c,
-                inputs: vec![("A".into(), in_src)],
-                output: n_out,
-                vdd_src,
-                vss_src: None,
-                vdd,
-                vss: 0.0,
-                transistor_count: 2,
-                input_cap: input_cap_of(&[sizing.output_drive_w]),
-                side_inputs_high: true,
-            }
-        }
+    let (load_gate, load_w, vss_src, vss) = match style {
+        // Diode-connected load to ground.
+        OrganicStyle::DiodeLoad => (Circuit::GND, sizing.diode_load_w, None, 0.0),
+        // Load gate biased at VSS: always on, stronger pull-down.
         OrganicStyle::BiasedLoad => {
             assert!(vss < 0.0, "biased-load requires a negative vss");
             let n_vss = c.node("vss");
             let vss_src = c.vsource(n_vss, Circuit::GND, vss);
-            c.fet(
-                n_out,
-                n_in,
+            (n_vss, sizing.biased_load_w, Some(vss_src), vss)
+        }
+        OrganicStyle::PseudoE => {
+            return build_pseudo_e(
+                c,
+                device,
                 n_vdd,
-                otft_tweaked(sizing.output_drive_w, tweak),
-            );
-            // Load gate biased at VSS: always on, stronger pull-down.
-            c.fet(
-                Circuit::GND,
-                n_vss,
-                n_out,
-                otft_tweaked(sizing.biased_load_w, tweak),
-            );
-            GateCircuit {
-                circuit: c,
-                inputs: vec![("A".into(), in_src)],
-                output: n_out,
                 vdd_src,
-                vss_src: Some(vss_src),
+                &[(n_in, in_src)],
+                n_out,
+                sizing,
                 vdd,
                 vss,
-                transistor_count: 2,
-                input_cap: input_cap_of(&[sizing.output_drive_w]),
-                side_inputs_high: true,
-            }
+                false,
+            )
         }
-        OrganicStyle::PseudoE => build_pseudo_e(
-            c,
-            n_vdd,
-            vdd_src,
-            &[(n_in, in_src)],
-            n_out,
-            sizing,
-            vdd,
-            vss,
-            false,
-            tweak,
-        ),
+    };
+    // Drive: pulls OUT to VDD when IN is low.
+    c.fet(n_out, n_in, n_vdd, fet(sizing.output_drive_w));
+    c.fet(Circuit::GND, load_gate, n_out, fet(load_w));
+    GateCircuit {
+        circuit: c,
+        inputs: vec![("A".into(), in_src)],
+        output: n_out,
+        vdd_src,
+        vss_src,
+        vdd,
+        vss,
+        transistor_count: 2,
+        input_cap: input_cap(device, sizing.output_drive_w),
+        side_inputs_high: true,
     }
 }
 
-/// Builds a pseudo-E organic gate of any supported logic kind.
+/// Builds a pseudo-E gate of any supported logic kind from `device`.
 ///
 /// NAND gates place the input transistors in parallel (any low input pulls
 /// up); NOR gates place them in series (all inputs must be low to pull up).
 ///
 /// # Panics
 /// Panics if `vdd <= 0` or `vss >= 0`.
-pub fn organic_gate(kind: LogicKind, sizing: &OrganicSizing, vdd: f64, vss: f64) -> GateCircuit {
-    organic_gate_inner(kind, sizing, vdd, vss, DeviceTweak::NONE)
-}
-
-/// [`organic_gate`] with a threshold-voltage shift `delta_vt` (V) applied
-/// to every transistor — the whole-library handle for the parameter-sweep
-/// machinery (`bdc sweep --param organic.vt=…`). At `delta_vt = 0.0` the
-/// devices are bit-identical to [`organic_gate`]'s.
-///
-/// # Panics
-/// Panics like [`organic_gate`].
-pub fn organic_gate_shifted(
+pub(crate) fn pseudo_e_gate(
+    device: &TftParams,
     kind: LogicKind,
     sizing: &OrganicSizing,
     vdd: f64,
     vss: f64,
-    delta_vt: f64,
-) -> GateCircuit {
-    organic_gate_inner(
-        kind,
-        sizing,
-        vdd,
-        vss,
-        DeviceTweak {
-            delta_vt,
-            life: 0.0,
-        },
-    )
-}
-
-fn organic_gate_inner(
-    kind: LogicKind,
-    sizing: &OrganicSizing,
-    vdd: f64,
-    vss: f64,
-    tweak: DeviceTweak,
 ) -> GateCircuit {
     assert!(vdd > 0.0, "vdd must be positive");
     assert!(vss < 0.0, "pseudo-E requires a negative vss");
@@ -414,8 +272,17 @@ fn organic_gate_inner(
     let n_out = c.node("out");
     let series = matches!(kind, LogicKind::Nor2 | LogicKind::Nor3);
     build_pseudo_e(
-        c, n_vdd, vdd_src, &ins, n_out, sizing, vdd, vss, series, tweak,
+        c, device, n_vdd, vdd_src, &ins, n_out, sizing, vdd, vss, series,
     )
+}
+
+/// Builds a pseudo-E gate of any supported logic kind on the organic
+/// technology's nominal device.
+///
+/// # Panics
+/// Panics if `vdd <= 0` or `vss >= 0`.
+pub fn organic_gate(kind: LogicKind, sizing: &OrganicSizing, vdd: f64, vss: f64) -> GateCircuit {
+    pseudo_e_gate(organic_library_point().1, kind, sizing, vdd, vss)
 }
 
 /// Core pseudo-E builder: a level-shifter stage replicating the pull-up
@@ -424,6 +291,7 @@ fn organic_gate_inner(
 #[allow(clippy::too_many_arguments)]
 fn build_pseudo_e(
     mut c: Circuit,
+    device: &TftParams,
     n_vdd: NodeId,
     vdd_src: usize,
     ins: &[(NodeId, usize)],
@@ -432,12 +300,12 @@ fn build_pseudo_e(
     vdd: f64,
     vss: f64,
     series: bool,
-    tweak: DeviceTweak,
 ) -> GateCircuit {
     assert!(vss < 0.0, "pseudo-E requires a negative vss");
     let n_vss = c.node("vss");
     let vss_src = c.vsource(n_vss, Circuit::GND, vss);
     let n_x = c.node("x");
+    let fet = |w| otft(device, w, ORGANIC_CHANNEL_L);
 
     let mut count = 0;
     // Pull-up networks: the same structure drives both X and OUT.
@@ -457,30 +325,27 @@ fn build_pseudo_e(
                     let nm = format!("{}_s{}", c.node_name(target), i);
                     c.node(&nm)
                 };
-                c.fet(dst, *n_in, src, otft_tweaked(w_each, tweak));
+                c.fet(dst, *n_in, src, fet(w_each));
                 src = dst;
                 count += 1;
             }
         } else {
             for (n_in, _) in ins {
-                c.fet(target, *n_in, n_vdd, otft_tweaked(w, tweak));
+                c.fet(target, *n_in, n_vdd, fet(w));
                 count += 1;
             }
         }
     }
     // Level-shifter load: X → VSS, gate at VSS (always on); long-channel
     // narrow device so the input stage can overpower it.
-    c.fet(n_vss, n_vss, n_x, {
-        let base = TftParams::pentacene_sized(sizing.shifter_load_w, sizing.shifter_load_l);
-        Arc::new(Level61Model::new(tweak.apply(base)))
-    });
-    // Output pull-down: OUT → GND, gated by the shifted node X.
     c.fet(
-        Circuit::GND,
+        n_vss,
+        n_vss,
         n_x,
-        n_out,
-        otft_tweaked(sizing.output_load_w, tweak),
+        otft(device, sizing.shifter_load_w, sizing.shifter_load_l),
     );
+    // Output pull-down: OUT → GND, gated by the shifted node X.
+    c.fet(Circuit::GND, n_x, n_out, fet(sizing.output_load_w));
     count += 2;
 
     let per_input_w = if series {
@@ -501,20 +366,15 @@ fn build_pseudo_e(
         vdd,
         vss,
         transistor_count: count,
-        input_cap: input_cap_of(&[per_input_w]),
+        input_cap: input_cap(device, per_input_w),
         side_inputs_high: !series,
     }
 }
 
-/// Gate capacitance presented by p-type inputs of the given widths.
-fn input_cap_of(widths: &[f64]) -> f64 {
-    widths
-        .iter()
-        .map(|w| {
-            let p = TftParams::pentacene_sized(*w, ORGANIC_CHANNEL_L);
-            p.gate_cap() + 2.0 * p.overlap_cap()
-        })
-        .sum()
+/// Gate capacitance presented by a p-type input of total width `w`.
+pub(crate) fn input_cap(device: &TftParams, w: f64) -> f64 {
+    let p = device.sized(w, ORGANIC_CHANNEL_L);
+    p.gate_cap() + 2.0 * p.overlap_cap()
 }
 
 /// Builds a complementary CMOS gate in the 45 nm-class silicon process.
@@ -649,7 +509,13 @@ mod tests {
 
     #[test]
     fn pseudo_e_inverter_has_full_swing() {
-        let g = organic_inverter(OrganicStyle::PseudoE, &OrganicSizing::default(), 5.0, -15.0);
+        let g = organic_inverter(
+            organic_library_point().1,
+            OrganicStyle::PseudoE,
+            &OrganicSizing::default(),
+            5.0,
+            -15.0,
+        );
         let v_hi = solve_logic(&g, &[false]);
         let v_lo = solve_logic(&g, &[true]);
         // The paper's point: pseudo-E restores VOH ≈ VDD and VOL ≈ 0.
@@ -661,6 +527,7 @@ mod tests {
     #[test]
     fn diode_load_inverter_degraded_output() {
         let g = organic_inverter(
+            organic_library_point().1,
             OrganicStyle::DiodeLoad,
             &OrganicSizing::default(),
             15.0,

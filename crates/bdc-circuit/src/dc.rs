@@ -396,9 +396,9 @@ mod tests {
         c.vsource(n_vdd, Circuit::GND, vdd);
         c.vsource(n_in, Circuit::GND, 0.0);
         let drive = Arc::new(Level61Model::new(TftParams::pentacene()));
-        let load = Arc::new(Level61Model::new(TftParams::pentacene_sized(
-            500.0e-6, 80.0e-6,
-        )));
+        let load = Arc::new(Level61Model::new(
+            TftParams::pentacene().sized(500.0e-6, 80.0e-6),
+        ));
         // Drive: source at VDD, gate at IN, drain at OUT (p-type pulls up).
         c.fet(n_out, n_in, n_vdd, drive);
         // Load: diode-connected p-type pulling down to GND.

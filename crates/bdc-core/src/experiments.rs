@@ -4,8 +4,8 @@
 //! them in the paper's layout. See DESIGN.md §4 for the experiment index.
 
 use bdc_cells::{
-    library::cell_summary, measure_inverter_dc, organic_inverter, CellKind, CellRecipe, DcSummary,
-    LogicKind, OrganicSizing, OrganicStyle, ParamOverlay, Technology,
+    library::cell_summary, measure_inverter_dc, organic_inverter, organic_library_point, CellKind,
+    DcSummary, LogicKind, OrganicStyle, ParamOverlay,
 };
 use bdc_circuit::CircuitError;
 use bdc_device::{
@@ -23,16 +23,6 @@ use crate::flow::{
     synthesize_core_cached, SynthesizedCore,
 };
 use crate::process::{Process, TechKit};
-
-/// The organic technology and its pseudo-E cell sizing: the operating
-/// point of the library inverters that figures build outside the library.
-pub(crate) fn organic_library_point() -> (&'static Technology, OrganicSizing) {
-    let tech = Process::Organic.tech();
-    let CellRecipe::PseudoE { sizing } = tech.recipe else {
-        unreachable!("the organic technology builds pseudo-E cells")
-    };
-    (tech, sizing)
-}
 
 /// Simulation budget for IPC measurements.
 #[derive(Debug, Clone, Copy)]
@@ -172,7 +162,7 @@ pub struct InverterRow {
 /// # Errors
 /// Propagates simulator failures.
 pub fn fig06_inverters() -> Result<Vec<InverterRow>, CircuitError> {
-    let sizing = OrganicSizing::library_default();
+    let (_, device, sizing) = organic_library_point();
     let cases = [
         ("diode-load", OrganicStyle::DiodeLoad, 15.0, 0.0),
         ("biased-load", OrganicStyle::BiasedLoad, 15.0, -5.0),
@@ -181,7 +171,7 @@ pub fn fig06_inverters() -> Result<Vec<InverterRow>, CircuitError> {
     cases
         .into_iter()
         .map(|(label, style, vdd, vss)| {
-            let gate = organic_inverter(style, &sizing, vdd, vss);
+            let gate = organic_inverter(device, style, sizing, vdd, vss);
             Ok(InverterRow {
                 label: label.to_string(),
                 vdd,
@@ -198,11 +188,11 @@ pub fn fig06_inverters() -> Result<Vec<InverterRow>, CircuitError> {
 /// # Errors
 /// Propagates simulator failures.
 pub fn fig07_vdd_sweep() -> Result<Vec<InverterRow>, CircuitError> {
-    let sizing = OrganicSizing::library_default();
+    let (_, device, sizing) = organic_library_point();
     [(5.0, -15.0), (10.0, -20.0), (15.0, -15.0)]
         .into_iter()
         .map(|(vdd, vss)| {
-            let gate = organic_inverter(OrganicStyle::PseudoE, &sizing, vdd, vss);
+            let gate = organic_inverter(device, OrganicStyle::PseudoE, sizing, vdd, vss);
             Ok(InverterRow {
                 label: format!("VDD={vdd}V"),
                 vdd,
@@ -233,11 +223,11 @@ pub struct Fig08 {
 /// # Errors
 /// Propagates simulator failures.
 pub fn fig08_vss_regression() -> Result<Fig08, CircuitError> {
-    let sizing = OrganicSizing::library_default();
+    let (_, device, sizing) = organic_library_point();
     let mut points = Vec::new();
     for i in 0..6 {
         let vss = -10.0 - 2.0 * i as f64;
-        let gate = organic_inverter(OrganicStyle::PseudoE, &sizing, 5.0, vss);
+        let gate = organic_inverter(device, OrganicStyle::PseudoE, sizing, 5.0, vss);
         let dc = measure_inverter_dc(&gate, 121)?;
         points.push((vss, dc.vm));
     }
@@ -279,8 +269,8 @@ pub fn table_mapping_preference(kit: &TechKit) -> (bool, bool) {
 /// # Errors
 /// Propagates simulator failures.
 pub fn table_inverter_dc() -> Result<(DcSummary, DcSummary), CircuitError> {
-    let (tech, sizing) = organic_library_point();
-    let org = organic_inverter(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss);
+    let (tech, device, sizing) = organic_library_point();
+    let org = organic_inverter(device, OrganicStyle::PseudoE, sizing, tech.vdd, tech.vss);
     let si = Process::Silicon
         .tech()
         .gate(LogicKind::Inv, &ParamOverlay::default());

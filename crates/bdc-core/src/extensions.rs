@@ -13,13 +13,16 @@
 //!   Monte-Carlo V_T spread moves V_M; retuning V_SS with the Figure 8
 //!   slope recentres it.
 
-use bdc_cells::{measure_inverter_dc, organic_inverter_shifted, OrganicStyle};
+use bdc_cells::{
+    characterize_gate, measure_inverter_dc, organic_inverter, organic_library_point,
+    CharacterizeConfig, OrganicStyle, ParamOverlay,
+};
 use bdc_circuit::CircuitError;
 use bdc_synth::power::{energy_per_instruction, estimate_power, PowerReport};
 use bdc_uarch::Workload;
 
 use crate::corespec::{stage_netlist, CoreSpec, StageKind};
-use crate::experiments::{organic_library_point, SimBudget};
+use crate::experiments::SimBudget;
 use crate::flow::{measure_ipc_cached, performance, split_critical, synthesize_core_cached};
 use crate::process::TechKit;
 
@@ -272,11 +275,16 @@ pub struct DegradationPoint {
 /// # Errors
 /// Propagates simulator failures.
 pub fn degradation_sweep(lives: &[f64]) -> Result<Vec<DegradationPoint>, CircuitError> {
-    use bdc_cells::{characterize_gate, organic_inverter_aged, CharacterizeConfig};
-    let (tech, sizing) = organic_library_point();
+    let (tech, device, sizing) = organic_library_point();
     let mut out = Vec::with_capacity(lives.len());
     for &life in lives {
-        let gate = organic_inverter_aged(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss, life);
+        let gate = organic_inverter(
+            &device.aged(life),
+            OrganicStyle::PseudoE,
+            sizing,
+            tech.vdd,
+            tech.vss,
+        );
         let dc = measure_inverter_dc(&gate, 81)?;
         let cfg = CharacterizeConfig {
             slews: vec![60.0e-6],
@@ -333,7 +341,7 @@ pub struct VariationStudy {
 /// # Errors
 /// Propagates simulator failures.
 pub fn variation_tuning(n: usize, seed: u64) -> Result<VariationStudy, CircuitError> {
-    let (tech, sizing) = organic_library_point();
+    let (tech, device, sizing) = organic_library_point();
     let (vdd, vss0) = (tech.vdd, tech.vss);
     // Measure the compensation slope once (nominal device).
     let fig08 = crate::experiments::fig08_vss_regression()?;
@@ -365,11 +373,15 @@ pub fn variation_tuning(n: usize, seed: u64) -> Result<VariationStudy, CircuitEr
         })
         .collect();
     let measured: Vec<Result<(f64, f64), CircuitError>> = bdc_exec::par_map(&dvts, |&dvt| {
-        let gate = organic_inverter_shifted(OrganicStyle::PseudoE, &sizing, vdd, vss0, dvt);
+        let shifted = ParamOverlay {
+            organic_delta_vt: dvt,
+        }
+        .apply(device);
+        let gate = organic_inverter(&shifted, OrganicStyle::PseudoE, sizing, vdd, vss0);
         let vm = measure_inverter_dc(&gate, 61)?.vm;
         // Retune V_SS to pull V_M back to VDD/2 using the linear law.
         let vss_new = (vss0 + (target - vm) / slope).clamp(-25.0, -8.0);
-        let gate2 = organic_inverter_shifted(OrganicStyle::PseudoE, &sizing, vdd, vss_new, dvt);
+        let gate2 = organic_inverter(&shifted, OrganicStyle::PseudoE, sizing, vdd, vss_new);
         Ok((vm, measure_inverter_dc(&gate2, 61)?.vm))
     });
     let mut raw = Vec::with_capacity(n);

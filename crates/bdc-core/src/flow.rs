@@ -15,33 +15,15 @@ use bdc_uarch::{build_workload, OooCore, SimStats, Workload};
 use bdc_lint::{lint_netlist, LintReport, Severity};
 
 use crate::corespec::{stage_netlist, CoreSpec, StageKind};
-use crate::process::{LintPolicy, TechKit};
+use crate::process::TechKit;
 
 /// Runs the gate-level static-analysis pass over a mapped netlist and
-/// applies the kit's [`LintPolicy`]. Returns the report (empty under
-/// [`LintPolicy::Off`]) so callers can surface diagnostics.
-///
-/// # Panics
-/// Panics under [`LintPolicy::Deny`] when any Error-severity diagnostic
-/// fires — a malformed netlist must not reach STA.
+/// prints a one-line stderr summary when any rule fires; the flow goes on
+/// either way. Returns the report so callers can surface diagnostics.
 pub fn lint_gate(kit: &TechKit, netlist: &Netlist) -> LintReport {
-    if kit.lint == LintPolicy::Off {
-        return LintReport::new(netlist.name.clone());
-    }
     let report = lint_netlist(netlist, &kit.lib, &kit.sta);
-    match kit.lint {
-        LintPolicy::Off => unreachable!(),
-        LintPolicy::Warn => {
-            if report.max_severity() >= Some(Severity::Warning) {
-                eprintln!("bdc-lint: {}", report.summary());
-            }
-        }
-        LintPolicy::Deny => {
-            assert!(
-                report.is_clean(),
-                "bdc-lint rejected netlist before STA:\n{report}"
-            );
-        }
+    if report.max_severity() >= Some(Severity::Warning) {
+        eprintln!("bdc-lint: {}", report.summary());
     }
     report
 }
@@ -140,17 +122,13 @@ fn pipeline_cut_memoed(
     CUTS.get_or_init(key, || Arc::new(pipeline_cut(mapped, lib, sta, opts)))
 }
 
-/// Runs [`lint_gate`] once per distinct (mapped netlist, library content,
-/// policy) triple per process. The lint verdict is a pure function of all
-/// three, so a repeat run could only re-emit the same diagnostics; a
-/// [`LintPolicy::Deny`] violation panics before the triple is memoized,
-/// and any change to the library or the policy re-runs the pass.
+/// Runs [`lint_gate`] once per distinct (mapped netlist, library content)
+/// pair. The lint verdict is a pure function of both, so a repeat run
+/// could only re-emit the same diagnostics; any change to the library
+/// re-runs the pass.
 fn lint_gate_once(kit: &TechKit, mapped_fp: u64, mapped: &Netlist) {
-    if kit.lint == LintPolicy::Off {
-        return;
-    }
-    static LINTED: MemoTable<(u64, u64, u8), ()> = MemoTable::new();
-    let key = (mapped_fp, kit.lib.fingerprint(), kit.lint as u8);
+    static LINTED: MemoTable<(u64, u64), ()> = MemoTable::new();
+    let key = (mapped_fp, kit.lib.fingerprint());
     LINTED.get_or_init(key, || {
         lint_gate(kit, mapped);
     });

@@ -53,7 +53,7 @@ pub use flow::{
     alu_cluster, lint_gate, measure_ipc, measure_ipc_cached, pipeline_alu, pipeline_alu_cached,
     synthesize_core, synthesize_core_cached, SynthesizedCore,
 };
-pub use process::{library_artifact, LintPolicy, Process, TechKit};
+pub use process::{library_artifact, Process, TechKit};
 pub use stage::{library_stage_key, stage_graph, ParamOverlay, StageGraph, StageNode};
 
 #[cfg(test)]

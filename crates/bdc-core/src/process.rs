@@ -27,22 +27,6 @@ pub fn library_artifact(process: Process) -> (String, u64) {
     )
 }
 
-/// What the flow does with static-analysis diagnostics (`bdc-lint`) raised
-/// on a netlist before timing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintPolicy {
-    /// Skip the lint pass entirely.
-    Off,
-    /// Run the pass; print a one-line summary to stderr when anything
-    /// fires, but never stop the flow.
-    #[default]
-    Warn,
-    /// Run the pass; panic if any Error-severity diagnostic fires. Use in
-    /// CI and experiment drivers where a malformed netlist must not reach
-    /// STA.
-    Deny,
-}
-
 /// A process bound to its characterized library and synthesis settings.
 #[derive(Debug, Clone)]
 pub struct TechKit {
@@ -55,8 +39,6 @@ pub struct TechKit {
     /// Pipelining defaults (feedback-wire model, skew, driver sizing) —
     /// calibrated once against the paper's Figure 12/15 silicon shape.
     pub pipe: PipelineOptions,
-    /// Static-analysis policy applied before every STA run in the flow.
-    pub lint: LintPolicy,
 }
 
 impl TechKit {
@@ -84,15 +66,6 @@ impl TechKit {
                 feedback_per_stage: 0.6,
                 driver_upsize: 8.0,
             },
-            lint: LintPolicy::default(),
-        }
-    }
-
-    /// The same kit with a different lint policy.
-    pub fn with_lint(&self, lint: LintPolicy) -> TechKit {
-        TechKit {
-            lint,
-            ..self.clone()
         }
     }
 

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use bdc_cells::{
     characterize_dynamic, characterize_gate, explore_inverter_sizing, organic_dynamic_gate,
-    organic_inverter, LogicKind, OrganicStyle, ParamOverlay, Utility,
+    organic_inverter, organic_library_point, LogicKind, OrganicStyle, ParamOverlay, Utility,
 };
 use bdc_circuit::{describe, write_spice};
 use bdc_synth::blocks;
@@ -20,7 +20,7 @@ use bdc_synth::sta::analyze;
 use bdc_synth::stats::{coverage_ratio, netlist_stats, render_stats};
 use bdc_uarch::{build_workload, BpredKind, OooCore, Workload};
 
-use crate::experiments::{self, organic_library_point, SimBudget};
+use crate::experiments::{self, SimBudget};
 use crate::extensions;
 use crate::flow::{alu_cluster, performance, split_critical, synthesize_core_cached};
 use crate::report::{fmt_freq, fmt_time, render_matrix, render_series, render_table};
@@ -116,18 +116,18 @@ pub(super) fn fig04(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
 /// Figure 5: the three organic inverter schematics, as element listings
 /// and exportable SPICE decks.
 pub(super) fn fig05(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    let (tech, sizing) = organic_library_point();
+    let (tech, device, sizing) = organic_library_point();
     for (label, style, vdd, vss) in [
         ("(a) diode-load", OrganicStyle::DiodeLoad, 15.0, 0.0),
         ("(b) biased-load", OrganicStyle::BiasedLoad, 15.0, -5.0),
         ("(c) pseudo-E", OrganicStyle::PseudoE, tech.vdd, tech.vss),
     ] {
-        let gate = organic_inverter(style, &sizing, vdd, vss);
+        let gate = organic_inverter(device, style, sizing, vdd, vss);
         w!(out, "\n{label}  ({} transistors):", gate.transistor_count);
         out.push_str(&describe(&gate.circuit));
     }
     // Emit one full SPICE deck as the interchange artifact.
-    let pe = organic_inverter(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss);
+    let pe = organic_inverter(device, OrganicStyle::PseudoE, sizing, tech.vdd, tech.vss);
     w!(
         out,
         "\nSPICE deck of the pseudo-E inverter (for external cross-check):"
@@ -642,7 +642,8 @@ pub(super) fn table_netlist_stats(ctx: &RunCtx, out: &mut String) -> Result<(), 
 
 /// §4.3.4: the cell-sizing design-space script.
 pub(super) fn table_sizing_explore(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    let ranked = explore_inverter_sizing(&[], 5.0, -15.0, &Utility::default())
+    let tech = Process::Organic.tech();
+    let ranked = explore_inverter_sizing(&[], tech.vdd, tech.vss, &Utility::default())
         .map_err(|e| format!("sizing sweep: {e:?}"))?;
     let rows: Vec<Vec<String>> = ranked
         .iter()
@@ -749,10 +750,10 @@ pub(super) fn ext_degradation(_ctx: &RunCtx, out: &mut String) -> Result<(), Str
 
 /// Extension (paper §7, last paragraph): dynamic unipolar logic.
 pub(super) fn ext_dynamic_logic(_ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    let (tech, sizing) = organic_library_point();
+    let (tech, device, sizing) = organic_library_point();
     let load = 200.0e-12;
 
-    let static_inv = organic_inverter(OrganicStyle::PseudoE, &sizing, tech.vdd, tech.vss);
+    let static_inv = organic_inverter(device, OrganicStyle::PseudoE, sizing, tech.vdd, tech.vss);
     let t_static =
         characterize_gate(&static_inv, &tech.characterize).map_err(|e| format!("static: {e:?}"))?;
     let d_static = t_static.delay_worst().lookup(60.0e-6, load);
@@ -765,7 +766,7 @@ pub(super) fn ext_dynamic_logic(_ctx: &RunCtx, out: &mut String) -> Result<(), S
     );
 
     for fan_in in [1usize, 2, 3] {
-        let g = organic_dynamic_gate(fan_in, &sizing, 5.0);
+        let g = organic_dynamic_gate(device, fan_in, sizing, tech.vdd);
         let t =
             characterize_dynamic(&g, load, 4.0e-3).map_err(|e| format!("dynamic sim: {e:?}"))?;
         w!(

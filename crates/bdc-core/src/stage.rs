@@ -30,7 +30,6 @@
 //! stage, used for sensitivity proofs.
 
 use bdc_cells::{CellKind, CellRecipe, LogicKind, Technology};
-use bdc_device::TftParams;
 use bdc_exec::fnv1a;
 
 use crate::process::Process;
@@ -41,17 +40,17 @@ fn cell_name(kind: LogicKind) -> &'static str {
     CellKind::from_logic(kind).name()
 }
 
-/// Stage 1 — the device model. A pseudo-E technology hashes the full
-/// pentacene parameter set plus the overlay's V_T delta; a CMOS
+/// Stage 1 — the device model. A pseudo-E technology hashes its
+/// device's full parameter set plus the overlay's V_T delta; a CMOS
 /// technology hashes its geometry and is overlay-independent by
 /// construction.
 pub fn device_stage_key(process: Process, overlay: &ParamOverlay) -> u64 {
     let tech = process.tech();
-    match tech.recipe {
-        CellRecipe::PseudoE { .. } => fnv1a(&[
+    match &tech.recipe {
+        CellRecipe::PseudoE { device, .. } => fnv1a(&[
             "bdc-stage-device-v1",
             tech.name,
-            &format!("{:?}", TftParams::pentacene()),
+            &format!("{device:?}"),
             &overlay.canonical(),
         ]),
         CellRecipe::Cmos { l_key, .. } => fnv1a(&[
@@ -64,7 +63,7 @@ pub fn device_stage_key(process: Process, overlay: &ParamOverlay) -> u64 {
 
 fn rails_recipe(tech: &Technology) -> String {
     match tech.recipe {
-        CellRecipe::PseudoE { sizing } => {
+        CellRecipe::PseudoE { sizing, .. } => {
             format!("vdd={} vss={} sizing={sizing:?}", tech.vdd, tech.vss)
         }
         CellRecipe::Cmos { l_key, .. } => format!("vdd={} l={l_key}", tech.vdd),

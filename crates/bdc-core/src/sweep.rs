@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use bdc_device::TftParams;
+use bdc_cells::organic_library_point;
 use bdc_exec::json::Json;
 use bdc_exec::{enter_scope, new_scope, par_map, scope_counters, StageCount};
 
@@ -125,10 +125,11 @@ impl SweepSpec {
         match self.param {
             // `TftParams::vt0` is a magnitude (p-type convention); the
             // physical V_T is its negation, so a requested physical value
-            // v maps to delta = (-v) - vt0_nominal. The nominal value
-            // round-trips to the default overlay exactly.
+            // v maps to delta = (-v) - vt0 of the organic technology's
+            // device. The nominal value round-trips to the default overlay
+            // exactly.
             SweepParam::OrganicVt => ParamOverlay {
-                organic_delta_vt: -value - TftParams::pentacene().vt0,
+                organic_delta_vt: -value - organic_library_point().1.vt0,
             },
         }
     }
@@ -414,7 +415,7 @@ mod tests {
     #[test]
     fn nominal_value_maps_to_the_default_overlay() {
         let spec = SweepSpec::parse("organic.vt=-1.3:-0.6:8").unwrap();
-        let nominal = spec.overlay_for(-TftParams::pentacene().vt0);
+        let nominal = spec.overlay_for(-organic_library_point().1.vt0);
         assert!(nominal.is_default(), "{nominal:?}");
         // A shallower (less negative) V_T is a *smaller* magnitude.
         let shallow = spec.overlay_for(-1.0);

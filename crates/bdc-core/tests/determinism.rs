@@ -10,9 +10,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use bdc_cells::{characterize_gate, organic_gate, CharacterizeConfig, LogicKind, OrganicSizing};
 use bdc_core::experiments::{width_ipc_matrix, SimBudget};
+use bdc_core::extensions::variation_tuning;
 use bdc_core::{Process, TechKit};
-use bdc_device::variation::VariedModel;
-use bdc_device::TftParams;
 use bdc_exec::{par_map, set_batch_lanes, set_workers};
 
 /// Guards the global worker-count and batch-lane overrides; resets both on
@@ -129,15 +128,21 @@ fn width_ipc_matrix_is_bit_identical_across_worker_counts() {
     }
 }
 
+/// The flow's Monte-Carlo fan-out: `variation_tuning` draws every ΔV_T
+/// serially, then measures the shifted inverters on the pool.
 #[test]
 fn monte_carlo_population_is_bit_identical_across_worker_counts() {
     let _lock = PoolLock::acquire();
-    let base = TftParams::pentacene();
     let mut reference = None;
     for w in WORKER_COUNTS {
         set_workers(Some(w));
-        let pop = VariedModel::sample_population_par(&base, 0.5 / 3.0, 2026, 200);
-        let bits: Vec<u64> = pop.iter().map(|m| m.delta_vt.to_bits()).collect();
+        let study = variation_tuning(6, 2026).expect("variation study");
+        let mut bits: Vec<u64> = study
+            .raw
+            .iter()
+            .flat_map(|&(dvt, vm)| [dvt.to_bits(), vm.to_bits()])
+            .collect();
+        bits.extend([study.sigma_before.to_bits(), study.sigma_after.to_bits()]);
         match &reference {
             None => reference = Some(bits),
             Some(r) => assert_eq!(*r, bits, "{w} workers diverged from serial"),

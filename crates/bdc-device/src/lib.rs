@@ -52,7 +52,6 @@ pub use level61::Level61Model;
 pub use model::{DeviceModel, Polarity};
 pub use params::{Level1Params, SiliconMosParams, TftParams};
 pub use silicon::SiliconMosModel;
-pub use variation::{VariedModel, VtVariation};
 
 /// Permittivity of free space (F/m).
 pub const EPS0: f64 = 8.854_187_812_8e-12;

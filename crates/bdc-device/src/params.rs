@@ -86,16 +86,17 @@ impl TftParams {
         }
     }
 
-    /// Same process, different drawn geometry. Width and length in metres.
+    /// The same device drawn at another geometry. Width and length in
+    /// metres.
     ///
     /// # Panics
     /// Panics if `w` or `l` is not strictly positive.
-    pub fn pentacene_sized(w: f64, l: f64) -> Self {
+    pub fn sized(&self, w: f64, l: f64) -> Self {
         assert!(w > 0.0 && l > 0.0, "transistor geometry must be positive");
         TftParams {
             w,
             l,
-            ..Self::pentacene()
+            ..self.clone()
         }
     }
 
@@ -314,6 +315,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "geometry must be positive")]
     fn rejects_zero_geometry() {
-        let _ = TftParams::pentacene_sized(0.0, 1.0e-6);
+        let _ = TftParams::pentacene().sized(0.0, 1.0e-6);
     }
 }

@@ -1,12 +1,10 @@
-//! Process variation and synthetic “measured” curves.
+//! Synthetic “measured” curves.
 //!
-//! Organic semiconductors have poor uniformity: the paper reports a typical
-//! threshold-voltage spread within 0.5 V across a sample (§4.1), and §4.3.3
-//! notes that the linear V_M–V_SS relationship lets a circuit compensate for
-//! that spread by retuning V_SS. [`VtVariation`] provides Monte-Carlo
-//! sampling of that spread; [`synthetic_measured_curve`] stands in for the
-//! HP4155A measurement data we cannot have (see DESIGN.md §2), producing a
-//! level-61 curve perturbed with log-normal measurement noise.
+//! [`synthetic_measured_curve`] stands in for the HP4155A measurement data
+//! we cannot have (see DESIGN.md §2), producing a level-61 curve perturbed
+//! with log-normal measurement noise. (The §4.1 cross-sample V_T spread is
+//! sampled by `bdc_core::extensions::variation_tuning`, which shifts the
+//! technology's device through `ParamOverlay::apply`.)
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -14,112 +12,6 @@ use rand::{Rng, SeedableRng};
 use crate::curves::{transfer_curve, TransferPoint};
 use crate::level61::Level61Model;
 use crate::params::TftParams;
-
-/// Monte-Carlo model of cross-sample threshold-voltage spread.
-#[derive(Debug, Clone)]
-pub struct VtVariation {
-    /// Base device parameters.
-    base: TftParams,
-    /// Standard deviation of the V_T spread (V). The paper's "within 0.5 V"
-    /// spread corresponds to σ ≈ 0.17 V (3σ window).
-    sigma: f64,
-    rng: SmallRng,
-}
-
-impl VtVariation {
-    /// Creates a sampler with the given V_T standard deviation (volts).
-    ///
-    /// # Panics
-    /// Panics if `sigma` is negative.
-    pub fn new(base: TftParams, sigma: f64, seed: u64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        VtVariation {
-            base,
-            sigma,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The paper's reported spread: V_T within 0.5 V across the sample.
-    pub fn paper_spread(base: TftParams, seed: u64) -> Self {
-        Self::new(base, 0.5 / 3.0, seed)
-    }
-
-    /// Draws one device instance with a perturbed threshold voltage.
-    pub fn sample(&mut self) -> Level61Model {
-        // Box-Muller normal sample.
-        let u1: f64 = self.rng.gen_range(1.0e-12..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..std::f64::consts::TAU);
-        let z = (-2.0 * u1.ln()).sqrt() * u2.cos();
-        let vt0 = self.base.vt0 + self.sigma * z;
-        Level61Model::new(TftParams {
-            vt0,
-            ..self.base.clone()
-        })
-    }
-
-    /// Draws `n` devices and returns the sample standard deviation of their
-    /// V_T parameters — used to validate calibration.
-    pub fn sampled_vt_sigma(&mut self, n: usize) -> f64 {
-        assert!(n >= 2);
-        let vts: Vec<f64> = (0..n).map(|_| self.sample().params().vt0).collect();
-        let mean = vts.iter().sum::<f64>() / n as f64;
-        let var = vts.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0);
-        var.sqrt()
-    }
-}
-
-/// A single device drawn from a variation distribution, wrapping the model
-/// with its sampled threshold shift for reporting.
-#[derive(Debug, Clone)]
-pub struct VariedModel {
-    /// The sampled device.
-    pub model: Level61Model,
-    /// V_T delta relative to the nominal device (V).
-    pub delta_vt: f64,
-}
-
-impl VariedModel {
-    /// Samples `n` devices from `variation`, keeping their V_T deltas.
-    pub fn sample_population(variation: &mut VtVariation, n: usize) -> Vec<VariedModel> {
-        let nominal = variation.base.vt0;
-        (0..n)
-            .map(|_| {
-                let model = variation.sample();
-                let delta_vt = model.params().vt0 - nominal;
-                VariedModel { model, delta_vt }
-            })
-            .collect()
-    }
-
-    /// Samples `n` devices on the thread pool. Each device's normal draw
-    /// comes from its own [`bdc_exec::task_seed`]-derived RNG instead of a
-    /// shared sequential stream, so the population is a pure function of
-    /// `(seed, index)` — bit-identical for any worker count, including the
-    /// serial `workers() == 1` path.
-    ///
-    /// # Panics
-    /// Panics if `sigma` is negative.
-    pub fn sample_population_par(
-        base: &TftParams,
-        sigma: f64,
-        seed: u64,
-        n: usize,
-    ) -> Vec<VariedModel> {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        let indices: Vec<u64> = (0..n as u64).collect();
-        bdc_exec::par_map(&indices, |&i| {
-            let mut rng = bdc_exec::SplitMix64::new(bdc_exec::task_seed(seed, i));
-            let vt0 = base.vt0 + sigma * rng.next_normal();
-            let model = Level61Model::new(TftParams {
-                vt0,
-                ..base.clone()
-            });
-            let delta_vt = model.params().vt0 - base.vt0;
-            VariedModel { model, delta_vt }
-        })
-    }
-}
 
 /// Generates a synthetic “measured” transfer sweep: the level-61 nominal
 /// curve with multiplicative log-normal noise (σ = 8 % of a decade at the
@@ -152,40 +44,9 @@ pub fn synthetic_measured_curve(
         .collect()
 }
 
-/// Convenience: the measured curve of the paper's fabricated pentacene
-/// device at V_DS = −1 V (Figure 3's low-bias trace).
-pub fn paper_measured_curve(seed: u64) -> Vec<TransferPoint> {
-    synthetic_measured_curve(&TftParams::pentacene(), -1.0, 201, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::DeviceModel;
-
-    #[test]
-    fn sampled_sigma_matches_configured() {
-        let mut v = VtVariation::new(TftParams::pentacene(), 0.2, 42);
-        let s = v.sampled_vt_sigma(4000);
-        assert!((s - 0.2).abs() < 0.02, "sigma = {s}");
-    }
-
-    #[test]
-    fn paper_spread_within_half_volt() {
-        let mut v = VtVariation::paper_spread(TftParams::pentacene(), 7);
-        let pop = VariedModel::sample_population(&mut v, 500);
-        let within = pop.iter().filter(|m| m.delta_vt.abs() <= 0.5).count();
-        // 3-sigma window → ~99.7 % inside.
-        assert!(within >= 490, "{within}/500 within 0.5 V");
-    }
-
-    #[test]
-    fn zero_sigma_is_deterministic() {
-        let mut v = VtVariation::new(TftParams::pentacene(), 0.0, 1);
-        let a = v.sample();
-        let b = v.sample();
-        assert_eq!(a.params().vt0, b.params().vt0);
-    }
 
     #[test]
     fn synthetic_curve_is_noisy_but_close() {
@@ -203,33 +64,5 @@ mod tests {
             / 101.0;
         let rms = rms.sqrt();
         assert!(rms > 0.005 && rms < 0.15, "rms log noise {rms}");
-    }
-
-    #[test]
-    fn par_population_is_a_pure_function_of_seed_and_index() {
-        let base = TftParams::pentacene();
-        let pop = VariedModel::sample_population_par(&base, 0.2, 42, 64);
-        assert_eq!(pop.len(), 64);
-        for (i, m) in pop.iter().enumerate() {
-            let mut rng = bdc_exec::SplitMix64::new(bdc_exec::task_seed(42, i as u64));
-            let expect = base.vt0 + 0.2 * rng.next_normal();
-            assert_eq!(m.model.params().vt0, expect, "index {i}");
-        }
-    }
-
-    #[test]
-    fn par_population_spread_matches_sigma() {
-        let base = TftParams::pentacene();
-        let pop = VariedModel::sample_population_par(&base, 0.5 / 3.0, 7, 500);
-        let within = pop.iter().filter(|m| m.delta_vt.abs() <= 0.5).count();
-        assert!(within >= 490, "{within}/500 within 0.5 V");
-    }
-
-    #[test]
-    fn varied_devices_still_conduct() {
-        let mut v = VtVariation::paper_spread(TftParams::pentacene(), 11);
-        for m in VariedModel::sample_population(&mut v, 50) {
-            assert!(m.model.ids(-10.0, -10.0).abs() > 1.0e-7);
-        }
     }
 }

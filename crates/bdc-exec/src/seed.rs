@@ -46,14 +46,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
-
-    /// One standard-normal draw (Box–Muller, cosine branch) — the same
-    /// construction the sequential samplers in `bdc-device` use.
-    pub fn next_normal(&mut self) -> f64 {
-        let u1 = self.next_f64().clamp(1.0e-12, 1.0);
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
 }
 
 #[cfg(test)]
@@ -81,16 +73,5 @@ mod tests {
             assert_eq!(a, b);
             assert!((0.0..1.0).contains(&a));
         }
-    }
-
-    #[test]
-    fn normals_have_sane_moments() {
-        let mut g = SplitMix64::new(1234);
-        let n = 20_000;
-        let draws: Vec<f64> = (0..n).map(|_| g.next_normal()).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-        assert!(mean.abs() < 0.03, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 }

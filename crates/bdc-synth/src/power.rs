@@ -34,11 +34,6 @@ impl PowerReport {
         self.static_w + self.dynamic_w
     }
 
-    /// Energy per clock cycle (J).
-    pub fn energy_per_cycle(&self) -> f64 {
-        self.total_w() / self.frequency
-    }
-
     /// Fraction of total power that is static.
     pub fn static_fraction(&self) -> f64 {
         self.static_w / self.total_w().max(1e-300)

@@ -4,8 +4,6 @@
 //! mnemonics; `assemble` resolves branch/jump offsets and produces a
 //! [`Program`].
 
-use std::collections::BTreeMap;
-
 use crate::isa::{Instr, Op, Reg};
 
 /// A label handle.
@@ -465,17 +463,6 @@ impl Asm {
             code,
             data: self.data,
         }
-    }
-
-    /// Assembles and also returns a map from label to PC (for tests).
-    pub fn assemble_with_labels(self) -> (Program, BTreeMap<usize, usize>) {
-        let labels: BTreeMap<usize, usize> = self
-            .labels
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.map(|pc| (i, pc)))
-            .collect();
-        (self.assemble(), labels)
     }
 }
 

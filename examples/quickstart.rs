@@ -8,17 +8,19 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use bdc_cells::{measure_inverter_dc, organic_inverter, OrganicSizing, OrganicStyle};
+use bdc_cells::{measure_inverter_dc, organic_inverter, organic_library_point, OrganicStyle};
 use bdc_core::report::{fmt_freq, fmt_time};
 use bdc_core::{Process, TechKit};
-use bdc_device::{DeviceModel, Level61Model, TftParams};
+use bdc_device::{DeviceModel, Level61Model};
 use bdc_synth::blocks;
 use bdc_synth::map::remap_for_library;
 use bdc_synth::pipeline::{pipeline_cut, PipelineOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. The device: the paper's fabricated pentacene OTFT.
-    let tft = Level61Model::new(TftParams::pentacene());
+    // 1. The device: the paper's fabricated pentacene OTFT, as the organic
+    // technology carries it.
+    let (tech, device, sizing) = organic_library_point();
+    let tft = Level61Model::new(device.clone());
     println!("pentacene OTFT  W/L = 1000/80 um");
     println!(
         "  I_D(VGS=-10V, VDS=-10V) = {:.2} uA",
@@ -30,14 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. A cell: the pseudo-E inverter at the library operating point.
-    let inv = organic_inverter(
-        OrganicStyle::PseudoE,
-        &OrganicSizing::library_default(),
-        5.0,
-        -15.0,
-    );
+    let inv = organic_inverter(device, OrganicStyle::PseudoE, sizing, tech.vdd, tech.vss);
     let dc = measure_inverter_dc(&inv, 101)?;
-    println!("\npseudo-E inverter @ VDD=5V, VSS=-15V:");
+    println!(
+        "\npseudo-E inverter @ VDD={}V, VSS={}V:",
+        tech.vdd, tech.vss
+    );
     println!(
         "  V_M = {:.2} V   gain = {:.2}   NM = {:.2}/{:.2} V",
         dc.vm, dc.max_gain, dc.nmh, dc.nml
