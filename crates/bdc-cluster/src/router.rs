@@ -28,11 +28,9 @@
 //! counters plus every shard's snapshot and a fleet-wide sum, and
 //! `/v1/cluster` with the ring topology.
 
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bdc_exec::cluster::{artifact_slot, key_slot, Ring};
@@ -40,6 +38,7 @@ use bdc_exec::faults;
 use bdc_serve::api::{self, Route};
 use bdc_serve::client::{self, Connection};
 use bdc_serve::json::{self, Json};
+use bdc_serve::server::{AcceptLoop, Service};
 use bdc_serve::{http, Response};
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerDecision};
@@ -121,16 +120,14 @@ struct Shared {
 
 /// A running router.
 pub struct RouterHandle {
-    port: u16,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 impl RouterHandle {
     /// The bound port.
     pub fn port(&self) -> u16 {
-        self.port
+        self.accept.port()
     }
 
     /// The router's proxy counters.
@@ -140,15 +137,14 @@ impl RouterHandle {
 
     /// Graceful shutdown: stop accepting, finish in-flight requests, join
     /// every thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        self.accept.stop();
+        self.accept.join();
     }
 }
 
-/// Binds the router and spawns its acceptor + connection workers.
+/// Binds the router and spawns its acceptor + connection workers (the
+/// shard server's [`AcceptLoop`]).
 ///
 /// # Errors
 /// Propagates bind failures; rejects an empty shard list.
@@ -160,8 +156,6 @@ pub fn start_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         ));
     }
     let listener = TcpListener::bind(&cfg.addr)?;
-    let port = listener.local_addr()?.port();
-    listener.set_nonblocking(true)?;
 
     let ring = Ring::new(cfg.shard_addrs.len(), cfg.vnodes, cfg.ring_seed);
     let breakers = (0..cfg.shard_addrs.len())
@@ -173,110 +167,24 @@ pub fn start_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         metrics: RouterMetrics::default(),
         breakers,
     });
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::new();
-
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(shared.cfg.conn_backlog);
-    let rx = Arc::new(Mutex::new(rx));
-    for i in 0..shared.cfg.conn_threads.max(1) {
-        let rx = Arc::clone(&rx);
-        let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("bdc-router-conn-{i}"))
-                .spawn(move || conn_worker(&rx, &shared, &stop))?,
-        );
-    }
-    {
-        let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name("bdc-router-accept".into())
-                .spawn(move || acceptor(&listener, &tx, &shared, &stop))?,
-        );
-    }
-
-    Ok(RouterHandle {
-        port,
-        shared,
-        stop,
-        threads,
-    })
+    let accept = AcceptLoop::spawn(
+        listener,
+        "bdc-router",
+        (shared.cfg.conn_threads, shared.cfg.conn_backlog),
+        (Duration::from_secs(30), Duration::from_secs(30)),
+        "router saturated; retry",
+        Arc::clone(&shared),
+    )?;
+    Ok(RouterHandle { shared, accept })
 }
 
-fn acceptor(
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    shared: &Shared,
-    stop: &AtomicBool,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => match tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(mut stream)) => {
-                    shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                    let mut resp = Response::error(429, "router saturated; retry");
-                    resp.extra_headers.push(("retry-after".into(), "1".into()));
-                    let _ = resp.write_to(&mut stream, false);
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+impl Service for Shared {
+    fn answer(&self, request: &http::Request, _t0: Instant) -> Response {
+        handle(request, self)
     }
-}
 
-fn conn_worker(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared, stop: &AtomicBool) {
-    loop {
-        let stream = {
-            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-            guard.recv_timeout(Duration::from_millis(100))
-        };
-        match stream {
-            Ok(stream) => serve_connection(stream, shared, stop),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(r) => r,
-            Err(e) => {
-                let status = e.status();
-                if status != 0 {
-                    let _ = Response::error(status, &format!("{e:?}")).write_to(&mut writer, false);
-                }
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-        let response = handle(&request, shared);
-        if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
-            return;
-        }
+    fn shed(&self) {
+        self.metrics.shed.fetch_add(1, Ordering::Relaxed);
     }
 }
 

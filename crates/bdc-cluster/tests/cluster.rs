@@ -9,6 +9,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use bdc_cluster::cluster::{artifact_slot, Ring};
 use bdc_cluster::router::{start_router, RouterConfig};
@@ -398,5 +401,63 @@ fn peer_artifact_protocol_round_trips_through_the_router() {
     router.shutdown();
     for h in handles {
         h.shutdown();
+    }
+}
+
+/// Runs `f` on its own thread and fails the test unless it returns within
+/// `limit`, so a lost shutdown wake fails the test instead of hanging it.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let watched = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("did not return within {limit:?}"),
+        // `f` panicked: re-raise its panic here.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match watched.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the thread sends before it returns"),
+        },
+    }
+}
+
+#[test]
+fn idle_router_and_shard_shut_down_promptly() {
+    // Router and shard share one blocking accept loop, woken at shutdown
+    // by a connection to the listener's own address (loopback for an
+    // unspecified bind). The wake is not a client, so the shard counts
+    // only the router's health probe.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let shard = bdc_serve::start(ServeConfig {
+            addr: bind.into(),
+            conn_threads: 2,
+            shard: Some(0),
+            ..ServeConfig::default()
+        })
+        .expect("bind shard");
+        let router = start_router(RouterConfig {
+            addr: bind.into(),
+            shard_addrs: vec![format!("127.0.0.1:{}", shard.port())],
+            conn_threads: 2,
+            ..RouterConfig::default()
+        })
+        .expect("bind router");
+        let router_addr = format!("127.0.0.1:{}", router.port());
+        let health = raw_get(&router_addr, "/healthz", "");
+        assert!(health.starts_with(b"HTTP/1.1 200"), "{bind}");
+
+        within(Duration::from_secs(2), move || router.shutdown());
+        assert!(
+            TcpStream::connect(&router_addr).is_err(),
+            "{bind}: router listener survived shutdown"
+        );
+        let metrics = Arc::clone(shard.metrics());
+        within(Duration::from_secs(2), move || shard.shutdown());
+        assert_eq!(
+            metrics.connections.load(Ordering::Relaxed),
+            1,
+            "{bind}: connections.accepted counts the router's probe, not the wake"
+        );
     }
 }

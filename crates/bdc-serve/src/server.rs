@@ -1,25 +1,28 @@
 //! The TCP front end: accept loop, connection workers, graceful shutdown.
 //!
-//! Topology: one non-blocking acceptor thread feeds accepted sockets to a
+//! Topology: one blocking acceptor thread feeds accepted sockets to a
 //! fixed pool of connection workers over a bounded channel (the first
 //! admission-control layer — when every worker is busy and the hand-off
 //! queue is full, the acceptor answers `429` itself and closes). Each
 //! worker speaks keep-alive HTTP/1.1, routes requests, and resolves
 //! computational calls through the [`Engine`] (the second layer: response
-//! cache → coalesce → bounded queue → shed).
+//! cache → coalesce → bounded queue → shed). The `bdc-cluster` router
+//! runs the same [`AcceptLoop`] with its own connection handler.
 //!
 //! Shutdown: `SIGTERM`/`SIGINT` set a flag (see [`install_signal_handlers`])
 //! that [`ServerHandle::run_until_signalled`] polls; tests and the bench
 //! harness call [`ServerHandle::shutdown`] directly. Either way the
-//! listener stops accepting, workers finish their current request, the
-//! engine drains its queue, and every thread is joined before the handle
+//! acceptor is woken by one connection to the listener's own address and
+//! stops accepting, workers finish their current request, the engine
+//! drains its queue, and every thread is joined before the handle
 //! returns — no request is abandoned mid-computation.
 
-use std::io::{BufReader, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::io::BufReader;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bdc_core::Process;
@@ -108,18 +111,17 @@ pub fn signalled() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
 
-/// A running server: join handles plus the shared engine and metrics.
+/// A running server: the accept loop, the engine and its batching thread.
 pub struct ServerHandle {
-    port: u16,
     engine: Arc<Engine<api::ApiCall>>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    accept: AcceptLoop,
+    engine_thread: JoinHandle<()>,
 }
 
 impl ServerHandle {
     /// The bound port.
     pub fn port(&self) -> u16 {
-        self.port
+        self.accept.port()
     }
 
     /// The metrics registry.
@@ -137,12 +139,11 @@ impl ServerHandle {
 
     /// Graceful shutdown: stop accepting, drain the engine, join every
     /// thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+    pub fn shutdown(self) {
+        self.accept.stop();
         self.engine.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.accept.join();
+        let _ = self.engine_thread.join();
     }
 }
 
@@ -158,70 +159,189 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         let _ = bdc_core::process::shared_kit(*p);
     }
     let listener = TcpListener::bind(&cfg.addr)?;
-    let port = listener.local_addr()?.port();
-    listener.set_nonblocking(true)?;
 
     let metrics = Arc::new(Registry::default());
     let engine: Arc<Engine<api::ApiCall>> = Engine::new(cfg.engine.clone(), Arc::clone(&metrics));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::new();
-
-    // Engine batching loop.
-    {
+    let engine_thread = {
         let engine = Arc::clone(&engine);
-        threads.push(
-            std::thread::Builder::new()
-                .name("bdc-serve-engine".into())
-                .spawn(move || engine.run(api::execute))?,
-        );
-    }
-
-    // Connection hand-off channel (bounded: admission-control layer 1).
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(cfg.conn_backlog);
-    let rx = Arc::new(Mutex::new(rx));
-    for i in 0..cfg.conn_threads.max(1) {
-        let rx = Arc::clone(&rx);
-        let engine = Arc::clone(&engine);
-        let metrics = Arc::clone(&metrics);
-        let stop = Arc::clone(&stop);
-        let timeouts = (cfg.read_timeout, cfg.write_timeout);
-        let shard = cfg.shard;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("bdc-serve-conn-{i}"))
-                .spawn(move || conn_worker(&rx, &engine, &metrics, &stop, timeouts, shard))?,
-        );
-    }
-
-    // Acceptor.
-    {
-        let metrics = Arc::clone(&metrics);
-        let stop = Arc::clone(&stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name("bdc-serve-accept".into())
-                .spawn(move || acceptor(&listener, &tx, &metrics, &stop))?,
-        );
-    }
-
+        std::thread::Builder::new()
+            .name("bdc-serve-engine".into())
+            .spawn(move || engine.run(api::execute))?
+    };
+    let front = EngineService {
+        engine: Arc::clone(&engine),
+        metrics,
+        shard: cfg.shard,
+    };
+    let accept = AcceptLoop::spawn(
+        listener,
+        "bdc-serve",
+        (cfg.conn_threads, cfg.conn_backlog),
+        (cfg.read_timeout, cfg.write_timeout),
+        "server saturated; retry",
+        Arc::new(front),
+    )?;
     Ok(ServerHandle {
-        port,
         engine,
-        stop,
-        threads,
+        accept,
+        engine_thread,
     })
+}
+
+/// What an [`AcceptLoop`] serves: its owner's answers and counters.
+pub trait Service: Send + Sync + 'static {
+    /// Answers one parsed request; `t0` is when its read began.
+    fn answer(&self, request: &http::Request, t0: Instant) -> Response;
+    /// Notes a request that did not parse, answered `status` by the loop.
+    fn rejected(&self, _status: u16, _t0: Instant) {}
+    /// Notes a client connection, before it is handed to a worker.
+    fn accepted(&self) {}
+    /// Notes a connection answered `429` at the door.
+    fn shed(&self) {}
+}
+
+/// The shard server's [`Service`]: the engine, plus the metrics of every
+/// request and connection.
+struct EngineService {
+    engine: Arc<Engine<api::ApiCall>>,
+    metrics: Arc<Registry>,
+    shard: Option<usize>,
+}
+
+impl EngineService {
+    fn record(&self, endpoint: Endpoint, status: u16, t0: Instant) {
+        let micros = t0.elapsed().as_micros() as u64;
+        self.metrics.endpoint(endpoint).record(status, micros);
+    }
+}
+
+impl Service for EngineService {
+    fn answer(&self, request: &http::Request, t0: Instant) -> Response {
+        let (endpoint, mut response) = handle(request, &self.engine);
+        if let Some(shard) = self.shard {
+            // Identity rides in a header so the *body* stays byte-identical
+            // across shards — the cluster acceptance gate.
+            response
+                .extra_headers
+                .push(("x-bdc-shard".into(), shard.to_string()));
+        }
+        self.record(endpoint, response.status, t0);
+        response
+    }
+
+    fn rejected(&self, status: u16, t0: Instant) {
+        self.record(Endpoint::Other, status, t0);
+    }
+
+    fn accepted(&self) {
+        self.metrics.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn shed(&self) {
+        self.metrics
+            .connections_shed
+            .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A listener served by one blocking acceptor thread and a fixed pool of
+/// connection workers, which take accepted sockets from a bounded channel
+/// and speak keep-alive HTTP/1.1 on them. The shard server and the
+/// `bdc-cluster` router both run one.
+pub struct AcceptLoop {
+    /// The listener's own address, an unspecified IP mapped to loopback:
+    /// where [`AcceptLoop::stop`] connects to wake the acceptor.
+    wake: SocketAddr,
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl AcceptLoop {
+    /// Spawns `{name}-accept` and `workers` threads `{name}-conn-{i}` on
+    /// `listener`. Up to `backlog` accepted sockets wait for a worker;
+    /// past that the acceptor answers `429` with `shed_body` and closes.
+    /// Each connection gets the (read, write) socket `timeouts`.
+    ///
+    /// # Errors
+    /// Propagates `local_addr` and thread-spawn failures.
+    pub fn spawn(
+        listener: TcpListener,
+        name: &str,
+        (workers, backlog): (usize, usize),
+        timeouts: (Duration, Duration),
+        shed_body: &'static str,
+        service: Arc<impl Service>,
+    ) -> std::io::Result<AcceptLoop> {
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            let loopback = match wake {
+                SocketAddr::V4(_) => IpAddr::from(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::from(Ipv6Addr::LOCALHOST),
+            };
+            wake.set_ip(loopback);
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(backlog);
+        let rx = Arc::new(Mutex::new(rx));
+        let mut threads = Vec::new();
+        for i in 0..workers.max(1) {
+            let (rx, service, stop) = (Arc::clone(&rx), Arc::clone(&service), Arc::clone(&stop));
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-conn-{i}"))
+                    .spawn(move || conn_worker(&rx, &*service, &stop, timeouts))?,
+            );
+        }
+        let acceptor_stop = Arc::clone(&stop);
+        let run = move || acceptor(&listener, &tx, &acceptor_stop, shed_body, &*service);
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(run)?,
+        );
+        Ok(AcceptLoop {
+            wake,
+            stop,
+            threads,
+        })
+    }
+
+    /// The bound port.
+    pub fn port(&self) -> u16 {
+        self.wake.port()
+    }
+
+    /// Begins shutdown: sets the stop flag, then wakes the blocked accept
+    /// with one connection to the listener's own address. The acceptor
+    /// drops that connection uncounted and exits, closing the listener.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+
+    /// Joins the acceptor and every worker; each worker first finishes
+    /// the connections already handed to it. Call after
+    /// [`AcceptLoop::stop`].
+    pub fn join(self) {
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
 }
 
 fn acceptor(
     listener: &TcpListener,
     tx: &SyncSender<TcpStream>,
-    metrics: &Registry,
     stop: &AtomicBool,
+    shed_body: &str,
+    service: &dyn Service,
 ) {
-    while !stop.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
+            // The shutdown wake, or a client that raced it.
+            Ok(_) if stop.load(Ordering::SeqCst) => return,
             Ok((stream, _)) => {
-                metrics.connections.fetch_add(1, Ordering::Relaxed);
+                service.accepted();
                 match tx.try_send(stream) {
                     Ok(()) => {}
                     Err(TrySendError::Full(mut stream)) => {
@@ -229,61 +349,46 @@ fn acceptor(
                         // the door rather than queue unboundedly. A short
                         // write timeout keeps a stalled client from
                         // pinning the acceptor itself.
-                        metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
+                        service.shed();
                         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                        let mut resp = Response::error(429, "server saturated; retry");
+                        let mut resp = Response::error(429, shed_body);
                         resp.extra_headers.push(("retry-after".into(), "1".into()));
                         let _ = resp.write_to(&mut stream, false);
                     }
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) if stop.load(Ordering::SeqCst) => return,
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    // Dropping `tx` disconnects the channel; workers drain and exit.
+    // Returning drops `tx` and the listener: workers drain and exit.
 }
 
 fn conn_worker(
     rx: &Mutex<Receiver<TcpStream>>,
-    engine: &Engine<api::ApiCall>,
-    metrics: &Registry,
+    service: &dyn Service,
     stop: &AtomicBool,
     timeouts: (Duration, Duration),
-    shard: Option<usize>,
 ) {
     loop {
-        // Poll with a timeout so workers also notice `stop` when idle.
-        let stream = {
-            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-            guard.recv_timeout(Duration::from_millis(100))
+        // The guard drops at the end of this statement, so other workers
+        // can take the next socket while this one serves. `recv` fails
+        // once the acceptor has exited and the queue is empty.
+        let Ok(stream) = rx.lock().unwrap_or_else(|p| p.into_inner()).recv() else {
+            return;
         };
-        match stream {
-            Ok(stream) => {
-                serve_connection(stream, engine, metrics, stop, timeouts, shard);
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+        serve_connection(stream, service, stop, timeouts);
     }
 }
 
 /// Serves one keep-alive connection until close, error, or shutdown.
 fn serve_connection(
     stream: TcpStream,
-    engine: &Engine<api::ApiCall>,
-    metrics: &Registry,
+    service: &dyn Service,
     stop: &AtomicBool,
     (read_timeout, write_timeout): (Duration, Duration),
-    shard: Option<usize>,
 ) {
     let _ = stream.set_read_timeout(Some(read_timeout));
     let _ = stream.set_write_timeout(Some(write_timeout));
@@ -301,31 +406,15 @@ fn serve_connection(
             Err(e) => {
                 let status = e.status();
                 if status != 0 {
-                    metrics
-                        .endpoint(Endpoint::Other)
-                        .record(status, t0.elapsed().as_micros() as u64);
+                    service.rejected(status, t0);
                     let _ = Response::error(status, &format!("{e:?}")).write_to(&mut writer, false);
                 }
                 return;
             }
         };
         let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-        let (endpoint, mut response) = handle(&request, engine);
-        if let Some(shard) = shard {
-            // Identity rides in a header so the *body* stays byte-identical
-            // across shards — the cluster acceptance gate.
-            response
-                .extra_headers
-                .push(("x-bdc-shard".into(), shard.to_string()));
-        }
-        metrics
-            .endpoint(endpoint)
-            .record(response.status, t0.elapsed().as_micros() as u64);
-        if response.write_to(&mut writer, keep_alive).is_err() {
-            return;
-        }
-        if !keep_alive {
-            let _ = writer.flush();
+        let response = service.answer(&request, t0);
+        if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
             return;
         }
     }

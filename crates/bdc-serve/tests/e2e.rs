@@ -3,14 +3,20 @@
 //! metrics accounting, and graceful shutdown.
 
 use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use bdc_serve::client::{get_once, Connection};
 use bdc_serve::json::{self, Json};
 use bdc_serve::{EngineConfig, ServeConfig};
 
 fn boot() -> (bdc_serve::ServerHandle, String) {
+    boot_at("127.0.0.1:0")
+}
+
+fn boot_at(bind: &str) -> (bdc_serve::ServerHandle, String) {
     let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
+        addr: bind.into(),
         conn_threads: 4,
         engine: EngineConfig {
             queue_cap: 16,
@@ -150,4 +156,61 @@ fn shutdown_is_clean_and_idempotent_under_load() {
         get_once(&addr, "/healthz").is_err(),
         "listener survived shutdown"
     );
+}
+
+/// Runs `f` on its own thread and fails the test unless it returns within
+/// `limit`, so a lost shutdown wake fails the test instead of hanging it.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let watched = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("did not return within {limit:?}"),
+        // `f` panicked: re-raise its panic here.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match watched.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the thread sends before it returns"),
+        },
+    }
+}
+
+#[test]
+fn idle_shutdown_wakes_the_acceptor_and_does_not_count_the_wake() {
+    // The acceptor blocks in `accept`; shutdown wakes it with one
+    // connection to the listener's own address, loopback for an
+    // unspecified bind. That connection is not a client.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (handle, addr) = boot_at(bind);
+        let r = get_once(&addr, "/healthz").expect("healthz");
+        assert_eq!(r.status, 200);
+        let metrics = Arc::clone(handle.metrics());
+        within(Duration::from_secs(2), move || handle.shutdown());
+        assert_eq!(
+            metrics.connections.load(Ordering::Relaxed),
+            1,
+            "{bind}: connections.accepted counts the one client, not the wake"
+        );
+        assert!(
+            get_once(&addr, "/healthz").is_err(),
+            "{bind}: listener survived shutdown"
+        );
+    }
+}
+
+#[test]
+fn an_idle_keep_alive_connection_does_not_hold_up_other_clients() {
+    // Each worker takes a socket off the hand-off queue and serves it to
+    // the end; the others must stay free to take the next one.
+    let (handle, addr) = boot();
+    let mut idle = Connection::open(&addr).expect("connect");
+    assert_eq!(idle.get("/healthz").expect("healthz").status, 200);
+    let other = addr.clone();
+    let status = within(Duration::from_secs(2), move || {
+        get_once(&other, "/healthz").map(|r| r.status).ok()
+    });
+    assert_eq!(status, Some(200));
+    drop(idle);
+    within(Duration::from_secs(2), move || handle.shutdown());
 }
