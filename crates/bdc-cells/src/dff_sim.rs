@@ -12,7 +12,8 @@ use bdc_circuit::{
     crossing_time, BatchLane, BatchTranSolver, Circuit, CircuitError, NodeId, TranSolver, Waveform,
 };
 
-use crate::topology::{cmos_gate, organic_gate, GateCircuit, LogicKind, OrganicSizing};
+use crate::technology::{ParamOverlay, Technology};
+use crate::topology::{GateCircuit, LogicKind};
 use crate::tracker::CrossTracker;
 
 /// A transistor-level DFF ready for transient analysis.
@@ -98,18 +99,19 @@ fn inline_gate(
 }
 
 /// Builds the 7474-style edge-triggered DFF (preset/clear tied inactive)
-/// from six NAND3 subcircuits of the given process.
+/// from six of the technology's nominal NAND3 cells, at its rails.
 ///
 /// # Panics
 /// Panics on invalid rails (propagated from the gate builders).
-pub fn build_dff(organic: bool, sizing: &OrganicSizing, vdd: f64, vss: f64) -> DffCircuit {
+pub fn build_dff(tech: &Technology) -> DffCircuit {
+    let vdd = tech.vdd;
     let mut c = Circuit::new();
     let n_vdd = c.node("vdd");
     c.vsource(n_vdd, Circuit::GND, vdd);
     let mut sources = 1;
-    if organic {
+    if tech.vss < 0.0 {
         let n_vss = c.node("vss");
-        c.vsource(n_vss, Circuit::GND, vss);
+        c.vsource(n_vss, Circuit::GND, tech.vss);
         sources += 1;
     }
     let n_d = c.node("D");
@@ -132,11 +134,7 @@ pub fn build_dff(organic: bool, sizing: &OrganicSizing, vdd: f64, vss: f64) -> D
     c.vsource(n_clr, Circuit::GND, vdd);
 
     // Internal latch nodes (driven by the six gates).
-    let template = if organic {
-        organic_gate(LogicKind::Nand3, sizing, vdd, vss)
-    } else {
-        cmos_gate(LogicKind::Nand3, 450.0e-9, vdd)
-    };
+    let template = tech.gate(LogicKind::Nand3, &ParamOverlay::default());
     // We need feedback, so allocate the gate OUTPUT nodes first by inlining
     // with placeholder inputs is impossible; instead inline gates in an
     // order where feedback nets already exist: create named junction nodes
@@ -412,11 +410,12 @@ fn measure_dff_speculative(dff: &DffCircuit, scale: f64) -> Result<MeasuredDff, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::technology::Process;
     use bdc_circuit::DcSolver;
 
     #[test]
     fn silicon_dff_is_a_valid_bistable_circuit() {
-        let dff = build_dff(false, &OrganicSizing::library_default(), 1.0, 0.0);
+        let dff = build_dff(Process::Silicon.tech());
         assert_eq!(dff.transistor_count, 36);
         // DC solves with clock low (holds state).
         let op = DcSolver::new().solve(&dff.circuit).expect("dc");
@@ -426,7 +425,7 @@ mod tests {
 
     #[test]
     fn silicon_dff_captures_on_rising_edge() {
-        let dff = build_dff(false, &OrganicSizing::library_default(), 1.0, 0.0);
+        let dff = build_dff(Process::Silicon.tech());
         let m = measure_dff(&dff, 20.0e-12).expect("measure");
         // clk->Q of a 45 nm flop: tens of ps.
         assert!(
@@ -439,7 +438,7 @@ mod tests {
 
     #[test]
     fn speculative_bisection_is_bit_identical_to_scalar() {
-        let dff = build_dff(false, &OrganicSizing::library_default(), 1.0, 0.0);
+        let dff = build_dff(Process::Silicon.tech());
         let scale = 20.0e-12;
         let s = measure_dff_scalar(&dff, scale).expect("scalar");
         let b = measure_dff_speculative(&dff, scale).expect("speculative");
@@ -449,7 +448,7 @@ mod tests {
 
     #[test]
     fn organic_dff_captures_with_millisecond_timing() {
-        let dff = build_dff(true, &OrganicSizing::library_default(), 5.0, -15.0);
+        let dff = build_dff(Process::Organic.tech());
         assert_eq!(dff.transistor_count, 48);
         let m = measure_dff(&dff, 0.7e-3).expect("measure");
         assert!(

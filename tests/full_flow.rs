@@ -171,18 +171,10 @@ fn organic_gains_more_clock_from_depth_than_silicon() {
 fn derived_dff_timing_matches_transistor_level_simulation() {
     // The library's DFF timing is derived from the characterized NAND2;
     // the transistor-level 7474 simulation must agree within a small factor.
-    use bdc_cells::{build_dff, measure_dff, OrganicSizing};
-    for (p, organic, scale) in [
-        (Process::Organic, true, 0.7e-3),
-        (Process::Silicon, false, 20.0e-12),
-    ] {
+    use bdc_cells::{build_dff, measure_dff};
+    for (p, scale) in [(Process::Organic, 0.7e-3), (Process::Silicon, 20.0e-12)] {
         let kit = shared_kit(p);
-        let dff = build_dff(
-            organic,
-            &OrganicSizing::library_default(),
-            kit.lib.vdd,
-            kit.lib.vss,
-        );
+        let dff = build_dff(p.tech());
         let m = measure_dff(&dff, scale).expect("transistor-level DFF measurement");
         let derived = kit.lib.dff;
         let ratio_q = derived.clk_to_q / m.clk_to_q;
