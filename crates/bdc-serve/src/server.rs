@@ -168,7 +168,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
             .name("bdc-serve-engine".into())
             .spawn(move || engine.run(api::execute))?
     };
-    let front = EngineService {
+    let service = EngineService {
         engine: Arc::clone(&engine),
         metrics,
         shard: cfg.shard,
@@ -179,7 +179,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         (cfg.conn_threads, cfg.conn_backlog),
         (cfg.read_timeout, cfg.write_timeout),
         "server saturated; retry",
-        Arc::new(front),
+        Arc::new(service),
     )?;
     Ok(ServerHandle {
         engine,
