@@ -19,7 +19,7 @@ use bdc_exec::par_map;
 
 use crate::corespec::{CoreSpec, StageKind};
 use crate::flow::{
-    alu_cluster, measure_ipc_cached, performance, pipeline_alu_cached, split_critical,
+    alu_cluster, measure_ipc_cached, performance, pipeline_alu_cached, split_chain,
     synthesize_core_cached, SynthesizedCore,
 };
 use crate::process::{Process, TechKit};
@@ -346,17 +346,7 @@ pub struct CoreDepthPoint {
 /// the expensive part — one OoO simulation per (depth, workload) — is then
 /// a flat list of independent pure tasks fanned out on the pool.
 pub fn fig11_core_depth(kit: &TechKit, budget: SimBudget) -> Vec<CoreDepthPoint> {
-    let mut specs = Vec::new();
-    let mut splits: Vec<Option<StageKind>> = vec![None];
-    let mut spec = CoreSpec::baseline();
-    for depth in 9..=15 {
-        specs.push(spec.clone());
-        if depth < 15 {
-            let (deeper, cut) = split_critical(kit, &spec);
-            spec = deeper;
-            splits.push(Some(cut));
-        }
-    }
+    let specs = split_chain(kit, 15);
     let synths: Vec<SynthesizedCore> = specs
         .iter()
         .map(|s| synthesize_core_cached(kit, s))
@@ -375,7 +365,7 @@ pub fn fig11_core_depth(kit: &TechKit, budget: SimBudget) -> Vec<CoreDepthPoint>
         .enumerate()
         .map(|(i, s)| CoreDepthPoint {
             stages: s.total_stages(),
-            split: splits[i],
+            split: s.splits.last().copied(),
             per_workload: sims[i * n_workloads..(i + 1) * n_workloads]
                 .iter()
                 .zip(&ipcs[i * n_workloads..(i + 1) * n_workloads])
@@ -528,13 +518,10 @@ pub fn fig15_wire_ablation(kit: &TechKit, alu_stages: &[usize]) -> Fig15 {
     let without = fig12_alu_depth(&ideal, alu_stages);
 
     let core_curve = |k: &TechKit| -> Vec<f64> {
-        let mut spec = CoreSpec::baseline();
-        let mut freqs = Vec::new();
-        for _ in 9..=15 {
-            freqs.push(synthesize_core_cached(k, &spec).frequency);
-            let (deeper, _) = split_critical(k, &spec);
-            spec = deeper;
-        }
+        let freqs: Vec<f64> = split_chain(k, 15)
+            .iter()
+            .map(|spec| synthesize_core_cached(k, spec).frequency)
+            .collect();
         let f0 = freqs[0];
         freqs.into_iter().map(|f| f / f0).collect()
     };

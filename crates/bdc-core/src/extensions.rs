@@ -23,7 +23,7 @@ use bdc_uarch::Workload;
 
 use crate::corespec::{stage_netlist, CoreSpec, StageKind};
 use crate::experiments::SimBudget;
-use crate::flow::{measure_ipc_cached, performance, split_critical, synthesize_core_cached};
+use crate::flow::{measure_ipc_cached, performance, split_chain, synthesize_core_cached};
 use crate::process::TechKit;
 
 /// Activity factor assumed for core logic.
@@ -72,9 +72,8 @@ pub struct EnergyDepthPoint {
 /// Sweeps depth 9→15 (critical-stage cutting) and reports energy per
 /// instruction at each point.
 pub fn energy_depth(kit: &TechKit, budget: SimBudget) -> Vec<EnergyDepthPoint> {
-    let mut spec = CoreSpec::baseline();
     let mut out = Vec::new();
-    for _ in 9..=15 {
+    for spec in split_chain(kit, 15) {
         let synth = synthesize_core_cached(kit, &spec);
         let mut log_ipc = 0.0;
         let suite = [Workload::Dhrystone, Workload::Gzip, Workload::Mcf];
@@ -92,7 +91,6 @@ pub fn energy_depth(kit: &TechKit, budget: SimBudget) -> Vec<EnergyDepthPoint> {
             power,
             epi,
         });
-        spec = split_critical(kit, &spec).0;
     }
     out
 }

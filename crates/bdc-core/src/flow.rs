@@ -462,6 +462,18 @@ pub fn split_critical(kit: &TechKit, spec: &CoreSpec) -> (CoreSpec, StageKind) {
     (deeper, kind)
 }
 
+/// The paper's Figure-11 deepening chain: the 9-stage baseline, then one
+/// spec per extra stage up to `stages`, each cutting the previous spec's
+/// critical stage. A spec's `splits` are its cuts, in the order made.
+pub fn split_chain(kit: &TechKit, stages: usize) -> Vec<CoreSpec> {
+    let mut chain = vec![CoreSpec::baseline()];
+    for _ in 9..stages {
+        let deeper = split_critical(kit, &chain[chain.len() - 1]).0;
+        chain.push(deeper);
+    }
+    chain
+}
+
 /// Simulates a workload on a design point and returns its statistics.
 ///
 /// `instructions` bounds the run; all workloads halt on their own well

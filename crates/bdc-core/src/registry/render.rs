@@ -22,7 +22,7 @@ use bdc_uarch::{build_workload, BpredKind, OooCore, Workload};
 
 use crate::experiments::{self, SimBudget};
 use crate::extensions;
-use crate::flow::{alu_cluster, performance, split_critical, synthesize_core_cached};
+use crate::flow::{alu_cluster, performance, split_chain, synthesize_core_cached};
 use crate::report::{fmt_freq, fmt_time, render_matrix, render_series, render_table};
 use crate::{CoreSpec, Process, TechKit};
 
@@ -492,12 +492,8 @@ pub(super) fn table_baseline_freq(ctx: &RunCtx, out: &mut String) -> Result<(), 
         let kit = ctx.kit(p)?;
         let base = experiments::table_baseline_frequency(kit);
         // Deepen to 14 stages like the paper's Fig 15(b) comparison point.
-        let mut spec = CoreSpec::baseline();
-        for _ in 0..5 {
-            let (deeper, _) = split_critical(kit, &spec);
-            spec = deeper;
-        }
-        let deep = synthesize_core_cached(kit, &spec);
+        let chain = split_chain(kit, 14);
+        let deep = synthesize_core_cached(kit, &chain[chain.len() - 1]);
         w!(out, "\n{}:", p.name());
         w!(
             out,
@@ -1036,11 +1032,7 @@ pub(super) fn abl_predictor_depth(ctx: &RunCtx, out: &mut String) -> Result<(), 
     let kit = ctx.kit(Process::Organic)?;
 
     // Pre-compute the split schedule once (synthesis is predictor-blind).
-    let mut specs = vec![CoreSpec::baseline()];
-    for _ in 0..6 {
-        let (deeper, _) = split_critical(kit, specs.last().unwrap());
-        specs.push(deeper);
-    }
+    let specs = split_chain(kit, 15);
     let freqs: Vec<f64> = specs
         .iter()
         .map(|s| synthesize_core_cached(kit, s).frequency)
