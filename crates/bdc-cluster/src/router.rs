@@ -35,9 +35,9 @@ use std::time::{Duration, Instant};
 
 use bdc_exec::cluster::{artifact_slot, key_slot, Ring};
 use bdc_exec::faults;
+use bdc_exec::json::{self, Json};
 use bdc_serve::api::{self, Route};
 use bdc_serve::client::{self, Connection};
-use bdc_serve::json::{self, Json};
 use bdc_serve::server::{AcceptLoop, Service};
 use bdc_serve::{http, Response};
 
@@ -198,7 +198,7 @@ fn handle(request: &http::Request, shared: &Shared) -> Response {
         shared.metrics.local.fetch_add(1, Ordering::Relaxed);
         return topology(shared);
     }
-    match api::route(request) {
+    match api::route(request).1 {
         Route::Healthz => {
             shared.metrics.local.fetch_add(1, Ordering::Relaxed);
             healthz(shared)
@@ -215,11 +215,11 @@ fn handle(request: &http::Request, shared: &Shared) -> Response {
         }
         // Validation failures render deterministically — a router-rendered
         // 400/404 is byte-identical to a shard-rendered one.
-        Route::Error(_, response) => {
+        Route::Error(response) => {
             shared.metrics.local.fetch_add(1, Ordering::Relaxed);
             response
         }
-        Route::Call(call) => proxy(request, shared, key_slot(call.cache_key())),
+        Route::Call(query) => proxy(request, shared, key_slot(api::cache_key(&query))),
         Route::PeerFetch { name, key } | Route::PeerStore { name, key } => {
             proxy(request, shared, artifact_slot(&name, key))
         }

@@ -198,12 +198,12 @@ fn check_stale_pid_file(pid_file: &std::path::Path) -> std::io::Result<()> {
     }
     let pids = match std::fs::read_to_string(pid_file)
         .ok()
-        .and_then(|raw| bdc_serve::json::parse(&raw).ok())
+        .and_then(|raw| bdc_exec::json::parse(&raw).ok())
     {
         Some(doc) => match doc.get("workers") {
-            Some(bdc_serve::json::Json::Arr(rows)) => rows
+            Some(bdc_exec::json::Json::Arr(rows)) => rows
                 .iter()
-                .filter_map(|row| row.get("pid").and_then(bdc_serve::json::Json::as_u64))
+                .filter_map(|row| row.get("pid").and_then(bdc_exec::json::Json::as_u64))
                 .collect::<Vec<u64>>(),
             // Parseable JSON without a workers array: not ours, replace.
             _ => Vec::new(),
@@ -261,7 +261,7 @@ fn write_pid_file(cfg: &SupervisorConfig, slots: &[Slot]) {
     if cfg.pid_file.as_os_str().is_empty() {
         return;
     }
-    use bdc_serve::json::Json;
+    use bdc_exec::json::Json;
     let rows = slots
         .iter()
         .map(|s| {

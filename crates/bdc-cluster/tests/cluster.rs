@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use bdc_cluster::cluster::{artifact_slot, Ring};
 use bdc_cluster::router::{start_router, RouterConfig};
+use bdc_exec::json::{self, Json};
 use bdc_serve::client::Connection;
-use bdc_serve::json::{self, Json};
 use bdc_serve::{EngineConfig, ServeConfig};
 
 const RING_SEED: u64 = 42;
@@ -460,4 +460,39 @@ fn idle_router_and_shard_shut_down_promptly() {
             "{bind}: connections.accepted counts the router's probe, not the wake"
         );
     }
+}
+
+#[test]
+fn an_idle_keep_alive_client_does_not_hold_up_shutdown() {
+    // A client that sent one request and then keeps its connection open
+    // without sending another leaves a worker blocked in a read; shutdown
+    // must end that read instead of waiting out the read timeout.
+    let shard = bdc_serve::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        conn_threads: 2,
+        shard: Some(0),
+        ..ServeConfig::default()
+    })
+    .expect("bind shard");
+    let shard_addr = format!("127.0.0.1:{}", shard.port());
+    let router = start_router(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shard_addrs: vec![shard_addr.clone()],
+        conn_threads: 2,
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let router_addr = format!("127.0.0.1:{}", router.port());
+    let mut idle = Vec::new();
+    for (addr, path) in [
+        (&router_addr, "/v1/library?process=silicon"),
+        (&shard_addr, "/healthz"),
+    ] {
+        let mut conn = Connection::open(addr).expect("connect");
+        assert_eq!(conn.get(path).expect("first request").status, 200, "{addr}");
+        idle.push(conn);
+    }
+    within(Duration::from_secs(2), move || router.shutdown());
+    within(Duration::from_secs(2), move || shard.shutdown());
+    drop(idle);
 }

@@ -5,8 +5,8 @@
 
 use bdc_cluster::router::{start_router, RouterConfig};
 use bdc_exec::faults::{self, FaultConfig};
+use bdc_exec::json::{self, Json};
 use bdc_serve::client::Connection;
-use bdc_serve::json::{self, Json};
 use bdc_serve::ServeConfig;
 
 #[test]

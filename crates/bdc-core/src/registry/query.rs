@@ -2,17 +2,19 @@
 //! endpoints.
 //!
 //! A [`Query`] is the canonical form of one `/v1/library`, `/v1/synth`,
-//! `/v1/depth`, `/v1/width` or `/v1/ipc` request with all transport
-//! concerns (HTTP parsing, bounds, defaults) already stripped by the
-//! caller. [`Query::run`] renders the deterministic JSON body the serving
-//! layer returns verbatim — the bodies moved here from `bdc-serve` intact,
-//! so `/v1/*` responses stayed byte-identical across the registry
-//! refactor (`bdc-serve/tests/golden_api.rs` pins them).
+//! `/v1/depth`, `/v1/width`, `/v1/ipc` or `/v1/experiment` request with
+//! all transport concerns (HTTP parsing, bounds, defaults) already
+//! stripped by the caller; `bdc-serve` parses straight into it, and its
+//! engine queues, coalesces and caches it. [`Query::run`] renders the
+//! deterministic JSON body the serving layer returns verbatim — the bodies
+//! moved here from `bdc-serve` intact, so `/v1/*` responses stayed
+//! byte-identical across the registry refactor
+//! (`bdc-serve/tests/golden_api.rs` pins them).
 
 use bdc_exec::json::Json;
 use bdc_uarch::Workload;
 
-use crate::flow::{split_critical, StageTiming};
+use crate::flow::{split_chain, StageTiming};
 use crate::process::shared_kit;
 use crate::{
     measure_ipc_cached, synthesize_core_cached, CoreSpec, Process, StageKind, SynthesizedCore,
@@ -20,7 +22,9 @@ use crate::{
 };
 
 /// A canonical computational query. Pure: the same query yields a
-/// byte-identical body for any worker count or cache state.
+/// byte-identical body for any worker count or cache state. Two requests
+/// that mean the same query compare equal, and the serving layer keys its
+/// response cache on the `Debug` form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Query {
     /// Characterized library summary for one process.
@@ -62,28 +66,29 @@ pub enum Query {
         /// Retired-instruction cap.
         instructions: u64,
     },
+    /// One rendered registry node, in the `/v1/experiment` envelope.
+    Experiment {
+        /// Registry node id.
+        id: String,
+        /// Whether to render at the quick budget.
+        quick: bool,
+    },
 }
 
 impl Query {
     /// Executes the query against the flow and renders its JSON body.
-    /// The only fallible case is [`Query::Library`]'s Liberty round-trip.
+    /// Fails on [`Query::Library`]'s Liberty round-trip or an experiment
+    /// node that fails (or does not exist).
     pub fn run(&self) -> Result<Json, String> {
         match self {
             Query::Library { process } => library_json(shared_kit(*process)),
             Query::Synth { process, spec } => Ok(synth_json(shared_kit(*process), spec, &[])),
             Query::Depth { process, stages } => {
+                // Cached synthesis makes rebuilding the chain cheap.
                 let kit = shared_kit(*process);
-                // Rebuild the paper's split chain: each step cuts the
-                // previous point's critical stage (cached synthesis makes
-                // this cheap).
-                let mut spec = CoreSpec::baseline();
-                let mut cuts = Vec::new();
-                for _ in 9..*stages {
-                    let (deeper, cut) = split_critical(kit, &spec);
-                    spec = deeper;
-                    cuts.push(cut);
-                }
-                Ok(synth_json(kit, &spec, &cuts))
+                let chain = split_chain(kit, *stages);
+                let spec = &chain[chain.len() - 1];
+                Ok(synth_json(kit, spec, &spec.splits))
             }
             Query::Width { process, fe, be } => Ok(synth_json(
                 shared_kit(*process),
@@ -112,6 +117,7 @@ impl Query {
                     ("stores".into(), Json::Int(stats.stores as i64)),
                 ]))
             }
+            Query::Experiment { id, quick } => super::run_one_json(id, *quick),
         }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The codec lives in this bottom-of-stack crate so every layer above —
 //! registry renders, run manifests, serve responses — shares one float
-//! format; `bdc_serve::json` re-exports it unchanged.
+//! format.
 //!
 //! The decoder is a recursive-descent parser hardened for untrusted input:
 //! depth-limited, rejects trailing garbage, and returns `Err` (never

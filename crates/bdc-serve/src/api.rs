@@ -1,5 +1,5 @@
 //! The experiment-serving API: parse a request into a canonical
-//! [`ApiCall`], execute it against the flow, and render a deterministic
+//! [`Query`], execute it against the flow, and render a deterministic
 //! JSON body.
 //!
 //! Endpoints (see the README "Serving" section for `curl` examples):
@@ -19,23 +19,21 @@
 //!
 //! Every computational endpoint accepts its parameters as query-string
 //! pairs on GET or a JSON object on POST; both normalize into the same
-//! [`ApiCall`], so the engine coalesces and caches them identically.
-//! Execution dispatches into `bdc_core::registry`: the classic flow
-//! endpoints map onto [`Query`] and the experiment endpoints onto the
-//! registry catalogue, so a served body and a `bdc run` render can never
-//! drift apart.
+//! [`Query`], so the engine coalesces and caches them identically, and
+//! [`Query::run`] answers it from `bdc_core::registry` — a served body and
+//! a `bdc run` render can never drift apart.
 //!
-//! **Determinism contract:** for a fixed [`ApiCall`], the response body is
+//! **Determinism contract:** for a fixed [`Query`], the response body is
 //! byte-identical regardless of worker count, cache state, batching, or
 //! transport — floats are rendered with shortest round-trip formatting
 //! from bit-identical flow outputs (`tests/determinism.rs` pins this).
 
 use bdc_core::registry::{self, query::Query};
-use bdc_core::{CoreSpec, Process, StageKind, TechKit};
+use bdc_core::{CoreSpec, Process, StageKind};
+use bdc_exec::json::{self, Json};
 use bdc_uarch::Workload;
 
 use crate::http::{parse_query, Method, Request, Response};
-use crate::json::{self, Json};
 use crate::metrics::Endpoint;
 
 /// Simulation budget bounds for `/v1/ipc` (keeps one request from tying
@@ -46,88 +44,21 @@ const MAX_INSTRUCTIONS: u64 = 5_000_000;
 /// Most stage splits a synth spec may carry.
 const MAX_SPLITS: usize = 16;
 
-/// A validated, canonical API request. Two requests that mean the same
-/// query compare equal and share one cache key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ApiCall {
-    /// `/v1/library`.
-    Library {
-        /// Which process library.
-        process: Process,
-    },
-    /// `/v1/synth` — an explicit design point.
-    Synth {
-        /// Which process library.
-        process: Process,
-        /// The design point.
-        spec: CoreSpec,
-    },
-    /// `/v1/depth` — the paper's split-the-critical-stage chain.
-    Depth {
-        /// Which process library.
-        process: Process,
-        /// Total pipeline stages (9–15).
-        stages: usize,
-    },
-    /// `/v1/width` — a superscalar width point.
-    Width {
-        /// Which process library.
-        process: Process,
-        /// Front-end width (1–6).
-        fe: usize,
-        /// Back-end pipes (3–7).
-        be: usize,
-    },
-    /// `/v1/ipc` — cycle-accurate simulation of one workload.
-    Ipc {
-        /// The design point simulated.
-        spec: CoreSpec,
-        /// Which workload kernel.
-        workload: Workload,
-        /// Outer-loop trip count.
-        outer: u32,
-        /// Retired-instruction cap.
-        instructions: u64,
-    },
-    /// `/v1/experiment` — one rendered registry node.
-    Experiment {
-        /// Registry node id (validated against the catalogue at parse
-        /// time, so execution cannot miss).
-        id: String,
-        /// Whether to render at the quick budget.
-        quick: bool,
-    },
-}
-
-impl ApiCall {
-    /// The metrics endpoint this call belongs to.
-    pub fn endpoint(&self) -> Endpoint {
-        match self {
-            ApiCall::Library { .. } => Endpoint::Library,
-            ApiCall::Synth { .. } => Endpoint::Synth,
-            ApiCall::Depth { .. } => Endpoint::Depth,
-            ApiCall::Width { .. } => Endpoint::Width,
-            ApiCall::Ipc { .. } => Endpoint::Ipc,
-            ApiCall::Experiment { .. } => Endpoint::Experiment,
-        }
-    }
-
-    /// Canonical content hash — the coalescing/caching key. Hashes the
-    /// `Debug` form of the canonical call, so any representational
-    /// variants (GET vs POST, query-parameter order) collapse. The
-    /// nominal library *stage* keys are folded into the salt, so a
-    /// device-model or characterization recipe change re-keys every
-    /// cached response that could embody library-derived bytes.
-    pub fn cache_key(&self) -> u64 {
-        use bdc_core::{library_stage_key, ParamOverlay, Process};
-        let nominal = ParamOverlay::default();
-        let libs = format!(
-            "libs={:016x},{:016x}",
-            library_stage_key(Process::Organic, &nominal),
-            library_stage_key(Process::Silicon, &nominal)
-        );
-        bdc_exec::fnv1a(&["bdc-serve-v2", &libs, &format!("{self:?}")])
-    }
+/// A query's canonical content hash — the coalescing/caching key, and the
+/// router's shard slot. Hashes the `Debug` form of the query, so any
+/// representational variants (GET vs POST, query-parameter order)
+/// collapse. The nominal library *stage* keys are folded into the salt,
+/// so a device-model or characterization recipe change re-keys every
+/// cached response that could embody library-derived bytes.
+pub fn cache_key(query: &Query) -> u64 {
+    use bdc_core::{library_stage_key, ParamOverlay};
+    let nominal = ParamOverlay::default();
+    let libs = format!(
+        "libs={:016x},{:016x}",
+        library_stage_key(Process::Organic, &nominal),
+        library_stage_key(Process::Silicon, &nominal)
+    );
+    bdc_exec::fnv1a(&["bdc-serve-v2", &libs, &format!("{query:?}")])
 }
 
 /// How a parsed request routes.
@@ -155,43 +86,54 @@ pub enum Route {
         key: u64,
     },
     /// A computational endpoint.
-    Call(ApiCall),
+    Call(Query),
     /// A routing/validation failure, already rendered.
-    Error(Endpoint, Response),
+    Error(Response),
 }
 
-/// Routes a parsed HTTP request.
-pub fn route(req: &Request) -> Route {
-    match req.path.as_str() {
-        "/healthz" => Route::Healthz,
-        "/v1/metrics" => Route::Metrics,
-        "/v1/experiments" => Route::Experiments,
-        "/v1/peer/artifact" => match parse_peer_params(req) {
-            Ok((name, key)) => match req.method {
-                Method::Get => Route::PeerFetch { name, key },
-                Method::Post => Route::PeerStore { name, key },
-            },
-            Err(msg) => Route::Error(Endpoint::Peer, Response::error(400, &msg)),
-        },
-        "/v1/library" | "/v1/synth" | "/v1/depth" | "/v1/width" | "/v1/ipc" | "/v1/experiment" => {
-            let endpoint = match req.path.as_str() {
-                "/v1/library" => Endpoint::Library,
-                "/v1/synth" => Endpoint::Synth,
-                "/v1/depth" => Endpoint::Depth,
-                "/v1/width" => Endpoint::Width,
-                "/v1/experiment" => Endpoint::Experiment,
-                _ => Endpoint::Ipc,
+/// Parses a computational endpoint's parameters into its query.
+type Parser = fn(&Params) -> Result<Query, String>;
+
+/// Routes a parsed HTTP request, with the endpoint it is metered under.
+/// This is the one place each endpoint's path is written.
+pub fn route(req: &Request) -> (Endpoint, Route) {
+    let (endpoint, parse): (Endpoint, Parser) = match req.path.as_str() {
+        "/healthz" => return (Endpoint::Healthz, Route::Healthz),
+        "/v1/metrics" => return (Endpoint::Metrics, Route::Metrics),
+        "/v1/experiments" => return (Endpoint::Experiments, Route::Experiments),
+        "/v1/peer/artifact" => {
+            let route = match (parse_peer_params(req), req.method) {
+                (Ok((name, key)), Method::Get) => Route::PeerFetch { name, key },
+                (Ok((name, key)), Method::Post) => Route::PeerStore { name, key },
+                (Err(msg), _) => Route::Error(Response::error(400, &msg)),
             };
-            match parse_call(req) {
-                Ok(call) => Route::Call(call),
-                Err(msg) => Route::Error(endpoint, Response::error(400, &msg)),
-            }
+            return (Endpoint::Peer, route);
         }
-        _ => Route::Error(
-            Endpoint::Other,
-            Response::error(404, &format!("no such endpoint `{}`", req.path)),
-        ),
-    }
+        "/v1/library" => (Endpoint::Library, |p| {
+            Ok(Query::Library {
+                process: parse_process(p)?,
+            })
+        }),
+        "/v1/synth" => (Endpoint::Synth, |p| {
+            Ok(Query::Synth {
+                process: parse_process(p)?,
+                spec: parse_spec(p)?,
+            })
+        }),
+        "/v1/depth" => (Endpoint::Depth, parse_depth),
+        "/v1/width" => (Endpoint::Width, parse_width),
+        "/v1/ipc" => (Endpoint::Ipc, parse_ipc),
+        "/v1/experiment" => (Endpoint::Experiment, parse_experiment),
+        _ => {
+            let msg = format!("no such endpoint `{}`", req.path);
+            return (Endpoint::Other, Route::Error(Response::error(404, &msg)));
+        }
+    };
+    let route = match Params::from_request(req).and_then(|p| parse(&p)) {
+        Ok(query) => Route::Call(query),
+        Err(msg) => Route::Error(Response::error(400, &msg)),
+    };
+    (endpoint, route)
 }
 
 /// Parses and validates the `/v1/peer/artifact` addressing parameters.
@@ -389,139 +331,77 @@ fn parse_workload(p: &Params) -> Result<Workload, String> {
         .ok_or(format!("unknown workload `{name}`"))
 }
 
-fn parse_call(req: &Request) -> Result<ApiCall, String> {
-    let p = Params::from_request(req)?;
-    match req.path.as_str() {
-        "/v1/library" => Ok(ApiCall::Library {
-            process: parse_process(&p)?,
-        }),
-        "/v1/synth" => Ok(ApiCall::Synth {
-            process: parse_process(&p)?,
-            spec: parse_spec(&p)?,
-        }),
-        "/v1/depth" => {
-            let stages = p.uint("stages", 9, 15)? as usize;
-            if stages < 9 {
-                return Err("`stages` must be 9-15".into());
-            }
-            Ok(ApiCall::Depth {
-                process: parse_process(&p)?,
-                stages,
-            })
-        }
-        "/v1/width" => {
-            let fe = p.uint("fe", 1, 6)? as usize;
-            let be = p.uint("be", 3, 7)? as usize;
-            if fe < 1 || be < 3 {
-                return Err("`fe` must be 1-6 and `be` 3-7".into());
-            }
-            Ok(ApiCall::Width {
-                process: parse_process(&p)?,
-                fe,
-                be,
-            })
-        }
-        "/v1/ipc" => {
-            // `budget=quick|full` presets, overridable by explicit knobs.
-            let (outer0, instr0) = match p.str_or("budget", "quick").as_str() {
-                "quick" => (25u64, 12_000u64),
-                "full" => (400, 120_000),
-                other => return Err(format!("`budget` must be `quick` or `full`, got `{other}`")),
-            };
-            Ok(ApiCall::Ipc {
-                spec: parse_spec(&p)?,
-                workload: parse_workload(&p)?,
-                outer: p.uint("outer", outer0, MAX_OUTER)? as u32,
-                instructions: p.uint("instructions", instr0, MAX_INSTRUCTIONS)?,
-            })
-        }
-        "/v1/experiment" => {
-            let id = p.str_or("id", "");
-            if id.is_empty() {
-                return Err("`id` is required (list ids at /v1/experiments)".into());
-            }
-            if registry::find(&id).is_none() {
-                return Err(format!(
-                    "unknown experiment id `{id}` (list ids at /v1/experiments)"
-                ));
-            }
-            let quick = match p.str_or("budget", "quick").as_str() {
-                "quick" => true,
-                "standard" => false,
-                other => {
-                    return Err(format!(
-                        "`budget` must be `quick` or `standard`, got `{other}`"
-                    ))
-                }
-            };
-            Ok(ApiCall::Experiment { id, quick })
-        }
-        _ => Err("unroutable".into()),
+fn parse_depth(p: &Params) -> Result<Query, String> {
+    let stages = p.uint("stages", 9, 15)? as usize;
+    if stages < 9 {
+        return Err("`stages` must be 9-15".into());
     }
+    Ok(Query::Depth {
+        process: parse_process(p)?,
+        stages,
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Execution: ApiCall → deterministic JSON response
-// ---------------------------------------------------------------------------
+fn parse_width(p: &Params) -> Result<Query, String> {
+    let fe = p.uint("fe", 1, 6)? as usize;
+    let be = p.uint("be", 3, 7)? as usize;
+    if fe < 1 || be < 3 {
+        return Err("`fe` must be 1-6 and `be` 3-7".into());
+    }
+    Ok(Query::Width {
+        process: parse_process(p)?,
+        fe,
+        be,
+    })
+}
 
-/// Executes a call by dispatching into the registry's query layer (or,
-/// for experiments, the registry itself). Pure in the call: the same call
-/// yields a byte-identical response for any worker count or cache state.
-pub fn execute(call: &ApiCall) -> Response {
-    let result = match call {
-        ApiCall::Library { process } => Query::Library { process: *process }.run(),
-        ApiCall::Synth { process, spec } => Query::Synth {
-            process: *process,
-            spec: spec.clone(),
-        }
-        .run(),
-        ApiCall::Depth { process, stages } => Query::Depth {
-            process: *process,
-            stages: *stages,
-        }
-        .run(),
-        ApiCall::Width { process, fe, be } => Query::Width {
-            process: *process,
-            fe: *fe,
-            be: *be,
-        }
-        .run(),
-        ApiCall::Ipc {
-            spec,
-            workload,
-            outer,
-            instructions,
-        } => Query::Ipc {
-            spec: spec.clone(),
-            workload: *workload,
-            outer: *outer,
-            instructions: *instructions,
-        }
-        .run(),
-        ApiCall::Experiment { id, quick } => registry::run_one_json(id, *quick),
+fn parse_ipc(p: &Params) -> Result<Query, String> {
+    // `budget=quick|full` presets, overridable by explicit knobs.
+    let (outer0, instr0) = match p.str_or("budget", "quick").as_str() {
+        "quick" => (25u64, 12_000u64),
+        "full" => (400, 120_000),
+        other => return Err(format!("`budget` must be `quick` or `full`, got `{other}`")),
     };
-    match result {
+    Ok(Query::Ipc {
+        spec: parse_spec(p)?,
+        workload: parse_workload(p)?,
+        outer: p.uint("outer", outer0, MAX_OUTER)? as u32,
+        instructions: p.uint("instructions", instr0, MAX_INSTRUCTIONS)?,
+    })
+}
+
+/// The id is checked against the catalogue here, so execution cannot
+/// miss.
+fn parse_experiment(p: &Params) -> Result<Query, String> {
+    let id = p.str_or("id", "");
+    if id.is_empty() {
+        return Err("`id` is required (list ids at /v1/experiments)".into());
+    }
+    if registry::find(&id).is_none() {
+        return Err(format!(
+            "unknown experiment id `{id}` (list ids at /v1/experiments)"
+        ));
+    }
+    let quick = match p.str_or("budget", "quick").as_str() {
+        "quick" => true,
+        "standard" => false,
+        other => {
+            return Err(format!(
+                "`budget` must be `quick` or `standard`, got `{other}`"
+            ))
+        }
+    };
+    Ok(Query::Experiment { id, quick })
+}
+
+/// Executes a query against the flow: its body with 200, or the failure
+/// with 500. Pure in the query: the same query yields a byte-identical
+/// response for any worker count or cache state.
+pub fn execute(query: &Query) -> Response {
+    match query.run() {
         Ok(body) => Response::json(200, body.encode().into_bytes()),
         Err(msg) => Response::error(500, &msg),
     }
-}
-
-/// Renders the `/v1/library` body from a kit (thin shim over
-/// [`bdc_core::registry::query::library_json`], kept for tests and
-/// in-process users).
-pub fn library_response(kit: &TechKit) -> Response {
-    match bdc_core::registry::query::library_json(kit) {
-        Ok(body) => Response::json(200, body.encode().into_bytes()),
-        Err(msg) => Response::error(500, &msg),
-    }
-}
-
-/// Renders a synthesized-core body (thin shim over
-/// [`bdc_core::registry::query::synth_json`], kept for tests and
-/// in-process users).
-pub fn synth_response(kit: &TechKit, spec: &CoreSpec, cuts: &[StageKind]) -> Response {
-    let body = bdc_core::registry::query::synth_json(kit, spec, cuts);
-    Response::json(200, body.encode().into_bytes())
 }
 
 /// The `/v1/experiments` body: the registry catalogue.
@@ -564,10 +444,10 @@ mod tests {
         }
     }
 
-    fn call(req: &Request) -> ApiCall {
-        match route(req) {
+    fn call(req: &Request) -> Query {
+        match route(req).1 {
             Route::Call(c) => c,
-            Route::Error(_, r) => {
+            Route::Error(r) => {
                 panic!("rejected: {}", String::from_utf8_lossy(&r.body))
             }
             _ => panic!("not a call"),
@@ -584,20 +464,20 @@ mod tests {
             r#"{"process":"silicon","fe_width":2,"be_pipes":4,"splits":["fetch","issue"]}"#,
         ));
         assert_eq!(a, b);
-        assert_eq!(a.cache_key(), b.cache_key());
+        assert_eq!(cache_key(&a), cache_key(&b));
     }
 
     #[test]
     fn distinct_calls_have_distinct_keys() {
         let a = call(&get("/v1/width?process=organic&fe=1&be=3"));
         let b = call(&get("/v1/width?process=organic&fe=2&be=3"));
-        assert_ne!(a.cache_key(), b.cache_key());
+        assert_ne!(cache_key(&a), cache_key(&b));
     }
 
     #[test]
     fn defaults_fill_in() {
         match call(&get("/v1/ipc")) {
-            ApiCall::Ipc {
+            Query::Ipc {
                 workload,
                 outer,
                 instructions,
@@ -627,7 +507,7 @@ mod tests {
             "/v1/library?process=copper",
         ] {
             match route(&get(bad)) {
-                Route::Error(_, r) => assert_eq!(r.status, 400, "{bad}"),
+                (_, Route::Error(r)) => assert_eq!(r.status, 400, "{bad}"),
                 _ => panic!("accepted {bad}"),
             }
         }
@@ -636,7 +516,7 @@ mod tests {
     #[test]
     fn unknown_path_is_404() {
         match route(&get("/v2/nope")) {
-            Route::Error(e, r) => {
+            (e, Route::Error(r)) => {
                 assert_eq!(r.status, 404);
                 assert_eq!(e, Endpoint::Other);
             }
@@ -647,7 +527,7 @@ mod tests {
     #[test]
     fn malformed_post_body_is_400() {
         match route(&post("/v1/synth", "{not json")) {
-            Route::Error(_, r) => assert_eq!(r.status, 400),
+            (_, Route::Error(r)) => assert_eq!(r.status, 400),
             _ => panic!("accepted"),
         }
     }
@@ -657,7 +537,7 @@ mod tests {
         match route(&get(
             "/v1/peer/artifact?name=lib-organic&key=00000000deadbeef",
         )) {
-            Route::PeerFetch { name, key } => {
+            (_, Route::PeerFetch { name, key }) => {
                 assert_eq!(name, "lib-organic");
                 assert_eq!(key, 0xdead_beef);
             }
@@ -666,7 +546,7 @@ mod tests {
         let mut store = post("/v1/peer/artifact", "");
         store.query = "name=x&key=0000000000000001".into();
         match route(&store) {
-            Route::PeerStore { name, key } => {
+            (_, Route::PeerStore { name, key }) => {
                 assert_eq!(name, "x");
                 assert_eq!(key, 1);
             }
@@ -682,7 +562,7 @@ mod tests {
             "/v1/peer/artifact?name=lib&key=0000000000000001&x=1", // unknown param
         ] {
             match route(&get(bad)) {
-                Route::Error(e, r) => {
+                (e, Route::Error(r)) => {
                     assert_eq!(r.status, 400, "{bad}");
                     assert_eq!(e, Endpoint::Peer, "{bad}");
                 }
@@ -706,7 +586,7 @@ mod tests {
         let b = execute(&c);
         assert_eq!(a.status, 200);
         assert_eq!(a.body, b.body);
-        let parsed = crate::json::parse(std::str::from_utf8(&a.body).unwrap()).unwrap();
+        let parsed = json::parse(std::str::from_utf8(&a.body).unwrap()).unwrap();
         assert!(parsed.get("ipc").and_then(Json::as_f64).unwrap() > 0.0);
     }
 }

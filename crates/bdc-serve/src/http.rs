@@ -17,6 +17,8 @@
 
 use std::io::{BufRead, Write};
 
+use bdc_exec::json::Json;
+
 /// Largest accepted request line (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Largest accepted single header line.
@@ -279,8 +281,7 @@ impl Response {
 
     /// An error response with a JSON `{"error": ...}` body.
     pub fn error(status: u16, message: &str) -> Response {
-        let body = crate::json::Json::Obj(vec![("error".into(), crate::json::Json::str(message))])
-            .encode();
+        let body = Json::Obj(vec![("error".into(), Json::str(message))]).encode();
         Response::json(status, body.into_bytes())
     }
 

@@ -40,13 +40,11 @@ pub mod api;
 pub mod client;
 pub mod engine;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod peer;
 pub mod server;
 
 pub use engine::{Engine, EngineConfig, Submission};
 pub use http::{Request, Response};
-pub use json::Json;
 pub use metrics::{Endpoint, Registry};
 pub use server::{install_signal_handlers, signalled, start, ServeConfig, ServerHandle};

@@ -20,7 +20,8 @@ const HEALTH_WINDOW: Duration = Duration::from_secs(10);
 /// Sentinel for "no fault event observed yet".
 const NEVER: u64 = u64::MAX;
 
-/// The endpoints the server meters, plus a catch-all.
+/// The endpoints the server meters, plus a catch-all. The discriminant
+/// indexes the per-endpoint metrics, in [`Endpoint::all`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// `/healthz`.
@@ -79,22 +80,6 @@ impl Endpoint {
             Endpoint::Experiment => "experiment",
             Endpoint::Peer => "peer",
             Endpoint::Other => "other",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Endpoint::Healthz => 0,
-            Endpoint::Metrics => 1,
-            Endpoint::Library => 2,
-            Endpoint::Synth => 3,
-            Endpoint::Depth => 4,
-            Endpoint::Width => 5,
-            Endpoint::Ipc => 6,
-            Endpoint::Experiments => 7,
-            Endpoint::Experiment => 8,
-            Endpoint::Peer => 9,
-            Endpoint::Other => 10,
         }
     }
 }
@@ -243,7 +228,7 @@ impl Default for Registry {
 impl Registry {
     /// Stats for one endpoint.
     pub fn endpoint(&self, e: Endpoint) -> &EndpointStats {
-        &self.endpoints[e.index()]
+        &self.endpoints[e as usize]
     }
 
     /// Seconds since the registry was created.
@@ -285,8 +270,8 @@ impl Registry {
         queue_depth: usize,
         queue_cap: usize,
         health: &str,
-    ) -> crate::json::Json {
-        use crate::json::Json;
+    ) -> bdc_exec::json::Json {
+        use bdc_exec::json::Json;
         let load = |a: &AtomicU64| Json::Int(a.load(Ordering::Relaxed) as i64);
         let endpoints = Endpoint::all()
             .into_iter()

@@ -13,18 +13,21 @@
 //! that [`ServerHandle::run_until_signalled`] polls; tests and the bench
 //! harness call [`ServerHandle::shutdown`] directly. Either way the
 //! acceptor is woken by one connection to the listener's own address and
-//! stops accepting, workers finish their current request, the engine
-//! drains its queue, and every thread is joined before the handle
-//! returns — no request is abandoned mid-computation.
+//! stops accepting, the read side of every open connection is shut so an
+//! idle keep-alive client cannot hold a worker, workers answer the request
+//! they have already read, the engine drains its queue, and every thread
+//! is joined before the handle returns — no request is abandoned
+//! mid-computation.
 
-use std::io::BufReader;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bdc_core::registry::query::Query;
 use bdc_core::Process;
 
 use crate::api::{self, Route};
@@ -113,7 +116,7 @@ pub fn signalled() -> bool {
 
 /// A running server: the accept loop, the engine and its batching thread.
 pub struct ServerHandle {
-    engine: Arc<Engine<api::ApiCall>>,
+    engine: Arc<Engine<Query>>,
     accept: AcceptLoop,
     engine_thread: JoinHandle<()>,
 }
@@ -161,7 +164,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
 
     let metrics = Arc::new(Registry::default());
-    let engine: Arc<Engine<api::ApiCall>> = Engine::new(cfg.engine.clone(), Arc::clone(&metrics));
+    let engine: Arc<Engine<Query>> = Engine::new(cfg.engine.clone(), Arc::clone(&metrics));
     let engine_thread = {
         let engine = Arc::clone(&engine);
         std::thread::Builder::new()
@@ -190,7 +193,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
 
 /// What an [`AcceptLoop`] serves: its owner's answers and counters.
 pub trait Service: Send + Sync + 'static {
-    /// Answers one parsed request; `t0` is when its read began.
+    /// Answers one parsed request; `t0` is when its first byte arrived.
     fn answer(&self, request: &http::Request, t0: Instant) -> Response;
     /// Notes a request that did not parse, answered `status` by the loop.
     fn rejected(&self, _status: u16, _t0: Instant) {}
@@ -203,7 +206,7 @@ pub trait Service: Send + Sync + 'static {
 /// The shard server's [`Service`]: the engine, plus the metrics of every
 /// request and connection.
 struct EngineService {
-    engine: Arc<Engine<api::ApiCall>>,
+    engine: Arc<Engine<Query>>,
     metrics: Arc<Registry>,
     shard: Option<usize>,
 }
@@ -253,8 +256,14 @@ pub struct AcceptLoop {
     /// where [`AcceptLoop::stop`] connects to wake the acceptor.
     wake: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Each worker's current connection, so [`AcceptLoop::stop`] can end
+    /// a read that waits on an idle client.
+    open: Arc<OpenConns>,
     threads: Vec<JoinHandle<()>>,
 }
+
+/// One slot per worker: a handle on the connection it is serving.
+type OpenConns = Mutex<Vec<Option<TcpStream>>>;
 
 impl AcceptLoop {
     /// Spawns `{name}-accept` and `workers` threads `{name}-conn-{i}` on
@@ -281,15 +290,18 @@ impl AcceptLoop {
             wake.set_ip(loopback);
         }
         let stop = Arc::new(AtomicBool::new(false));
+        let workers = workers.max(1);
+        let open = Arc::new(Mutex::new((0..workers).map(|_| None).collect()));
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(backlog);
         let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();
-        for i in 0..workers.max(1) {
-            let (rx, service, stop) = (Arc::clone(&rx), Arc::clone(&service), Arc::clone(&stop));
+        for i in 0..workers {
+            let (rx, service) = (Arc::clone(&rx), Arc::clone(&service));
+            let (stop, open) = (Arc::clone(&stop), Arc::clone(&open));
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-conn-{i}"))
-                    .spawn(move || conn_worker(&rx, &*service, &stop, timeouts))?,
+                    .spawn(move || conn_worker(i, &rx, &*service, &stop, &open, timeouts))?,
             );
         }
         let acceptor_stop = Arc::clone(&stop);
@@ -302,6 +314,7 @@ impl AcceptLoop {
         Ok(AcceptLoop {
             wake,
             stop,
+            open,
             threads,
         })
     }
@@ -314,9 +327,15 @@ impl AcceptLoop {
     /// Begins shutdown: sets the stop flag, then wakes the blocked accept
     /// with one connection to the listener's own address. The acceptor
     /// drops that connection uncounted and exits, closing the listener.
+    /// Every open connection's read side is shut, so a worker waiting on
+    /// an idle keep-alive client reads end-of-stream at once; a request it
+    /// has already read is still answered.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        for stream in lock(&self.open).iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
     }
 
     /// Joins the acceptor and every worker; each worker first finishes
@@ -366,20 +385,36 @@ fn acceptor(
     // Returning drops `tx` and the listener: workers drain and exit.
 }
 
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn conn_worker(
+    slot: usize,
     rx: &Mutex<Receiver<TcpStream>>,
     service: &dyn Service,
     stop: &AtomicBool,
+    open: &OpenConns,
     timeouts: (Duration, Duration),
 ) {
     loop {
         // The guard drops at the end of this statement, so other workers
         // can take the next socket while this one serves. `recv` fails
         // once the acceptor has exited and the queue is empty.
-        let Ok(stream) = rx.lock().unwrap_or_else(|p| p.into_inner()).recv() else {
+        let Ok(stream) = lock(rx).recv() else {
             return;
         };
+        if let Ok(handle) = stream.try_clone() {
+            // Checked under the lock `stop` takes after setting the flag:
+            // either `stop` sees this handle, or this sees the flag.
+            let mut open = lock(open);
+            if stop.load(Ordering::SeqCst) {
+                let _ = handle.shutdown(Shutdown::Read);
+            }
+            open[slot] = Some(handle);
+        }
         serve_connection(stream, service, stop, timeouts);
+        lock(open)[slot] = None;
     }
 }
 
@@ -399,6 +434,12 @@ fn serve_connection(
     };
     let mut reader = BufReader::new(stream);
     loop {
+        // An idle keep-alive client is not request latency: the clock
+        // starts at the first byte. End of stream, a read timeout or a
+        // shut read side leave no request to answer.
+        if !matches!(reader.fill_buf(), Ok(bytes) if !bytes.is_empty()) {
+            return;
+        }
         // bdc-lint: allow(D002, latency telemetry; responses carry no Date header)
         let t0 = Instant::now();
         let request = match http::read_request(&mut reader) {
@@ -422,55 +463,46 @@ fn serve_connection(
 
 /// Routes and resolves one request. Exposed for the in-process bench
 /// harness and tests.
-pub fn handle(request: &http::Request, engine: &Engine<api::ApiCall>) -> (Endpoint, Response) {
-    match api::route(request) {
-        Route::Healthz => (Endpoint::Healthz, api::healthz(engine.health())),
+pub fn handle(request: &http::Request, engine: &Engine<Query>) -> (Endpoint, Response) {
+    let (endpoint, route) = api::route(request);
+    let response = match route {
+        Route::Healthz => api::healthz(engine.health()),
         // The catalogue is static metadata — answered inline, no engine
         // round-trip.
-        Route::Experiments => (Endpoint::Experiments, api::experiments_response()),
+        Route::Experiments => api::experiments_response(),
         Route::Metrics => {
             let snap = engine.metrics().snapshot(
                 engine.queue_depth(),
                 engine.queue_cap(),
                 engine.health(),
             );
-            (
-                Endpoint::Metrics,
-                Response::json(200, snap.encode().into_bytes()),
-            )
+            Response::json(200, snap.encode().into_bytes())
         }
         // Peer cache transfers touch only the artifact directory — no
         // engine round-trip, no computation, so a peer fetch can never
         // cascade into another peer fetch.
-        Route::PeerFetch { name, key } => (Endpoint::Peer, api::peer_fetch_response(&name, key)),
-        Route::PeerStore { name, key } => (
-            Endpoint::Peer,
-            api::peer_store_response(&name, key, &request.body),
-        ),
-        Route::Error(endpoint, response) => (endpoint, response),
-        Route::Call(call) => {
-            let endpoint = call.endpoint();
-            let key = call.cache_key();
-            let response = match engine.submit(key, call) {
-                Submission::CacheHit(r) | Submission::Done(r) => (*r).clone(),
-                Submission::Shed => {
-                    let mut r = Response::error(429, "queue full; retry");
-                    r.extra_headers.push(("retry-after".into(), "1".into()));
-                    r
-                }
-                Submission::TimedOut => {
-                    // The compute deadline expired. 503 + Retry-After
-                    // tells a well-behaved client the result may well be
-                    // cached by the time it retries.
-                    let mut r = Response::error(503, "compute deadline exceeded; retry");
-                    r.extra_headers.push(("retry-after".into(), "2".into()));
-                    r
-                }
-                Submission::ShuttingDown => Response::error(503, "shutting down"),
-            };
-            (endpoint, response)
-        }
-    }
+        Route::PeerFetch { name, key } => api::peer_fetch_response(&name, key),
+        Route::PeerStore { name, key } => api::peer_store_response(&name, key, &request.body),
+        Route::Error(response) => response,
+        Route::Call(query) => match engine.submit(api::cache_key(&query), query) {
+            Submission::CacheHit(r) | Submission::Done(r) => (*r).clone(),
+            Submission::Shed => {
+                let mut r = Response::error(429, "queue full; retry");
+                r.extra_headers.push(("retry-after".into(), "1".into()));
+                r
+            }
+            Submission::TimedOut => {
+                // The compute deadline expired. 503 + Retry-After tells a
+                // well-behaved client the result may well be cached by the
+                // time it retries.
+                let mut r = Response::error(503, "compute deadline exceeded; retry");
+                r.extra_headers.push(("retry-after".into(), "2".into()));
+                r
+            }
+            Submission::ShuttingDown => Response::error(503, "shutting down"),
+        },
+    };
+    (endpoint, response)
 }
 
 #[cfg(test)]
@@ -489,14 +521,14 @@ mod tests {
         // out the request. The executor sleeps so the cold miss outlasts
         // that budget, which a deadline-honouring server would have
         // answered with a 503.
-        let engine: Arc<Engine<api::ApiCall>> =
+        let engine: Arc<Engine<Query>> =
             Engine::new(EngineConfig::default(), Arc::new(Registry::default()));
         let runner = {
             let engine = Arc::clone(&engine);
             std::thread::spawn(move || {
-                engine.run(|call| {
+                engine.run(|query| {
                     std::thread::sleep(Duration::from_millis(20));
-                    api::execute(call)
+                    api::execute(query)
                 })
             })
         };

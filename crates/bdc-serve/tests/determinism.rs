@@ -10,9 +10,10 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use bdc_core::process::shared_kit;
+use bdc_core::registry::query::{self, Query};
 use bdc_core::{CoreSpec, Process, TechKit};
 use bdc_exec::set_workers;
-use bdc_serve::api::{self, library_response, synth_response, ApiCall};
+use bdc_serve::api;
 use bdc_serve::client::Connection;
 use bdc_serve::ServeConfig;
 
@@ -42,23 +43,23 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 /// The query set pinned across worker counts: every computational
 /// endpoint, silicon only (the organic library is expensive to
 /// characterize and adds nothing to the byte-equality argument).
-fn calls() -> Vec<ApiCall> {
+fn calls() -> Vec<Query> {
     use bdc_uarch::Workload;
     let spec = CoreSpec::baseline();
     vec![
-        ApiCall::Library {
+        Query::Library {
             process: Process::Silicon,
         },
-        ApiCall::Synth {
+        Query::Synth {
             process: Process::Silicon,
             spec: spec.clone(),
         },
-        ApiCall::Width {
+        Query::Width {
             process: Process::Silicon,
             fe: 2,
             be: 4,
         },
-        ApiCall::Ipc {
+        Query::Ipc {
             spec,
             workload: Workload::Gzip,
             outer: 5,
@@ -99,16 +100,14 @@ fn cold_and_cache_loaded_kits_render_identical_bodies() {
     let reloaded = bdc_cells::parse_library(&bdc_cells::write_library(&kit.lib)).expect("parse");
     let kit2 = TechKit::with_library(Process::Silicon, reloaded);
 
-    let a = library_response(kit);
-    let b = library_response(&kit2);
-    assert_eq!(a.status, 200);
-    assert_eq!(a.body, b.body, "library body differs cold vs cache-loaded");
+    let a = query::library_json(kit).expect("library body").encode();
+    let b = query::library_json(&kit2).expect("library body").encode();
+    assert_eq!(a, b, "library body differs cold vs cache-loaded");
 
     let spec = CoreSpec::baseline();
-    let a = synth_response(kit, &spec, &[]);
-    let b = synth_response(&kit2, &spec, &[]);
-    assert_eq!(a.status, 200);
-    assert_eq!(a.body, b.body, "synth body differs cold vs cache-loaded");
+    let a = query::synth_json(kit, &spec, &[]).encode();
+    let b = query::synth_json(&kit2, &spec, &[]).encode();
+    assert_eq!(a, b, "synth body differs cold vs cache-loaded");
 }
 
 #[test]

@@ -6,8 +6,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use bdc_exec::json::{self, Json};
 use bdc_serve::client::{get_once, Connection};
-use bdc_serve::json::{self, Json};
 use bdc_serve::{EngineConfig, ServeConfig};
 
 fn boot() -> (bdc_serve::ServerHandle, String) {
@@ -212,5 +212,37 @@ fn an_idle_keep_alive_connection_does_not_hold_up_other_clients() {
     });
     assert_eq!(status, Some(200));
     drop(idle);
+    within(Duration::from_secs(2), move || handle.shutdown());
+}
+
+#[test]
+fn endpoint_latency_excludes_keep_alive_idle_time() {
+    // Three `/healthz` requests 300 ms apart on one connection: each
+    // answer takes microseconds, so the server's latency must not count
+    // the time the client sat idle before sending.
+    let (handle, addr) = boot();
+    let mut conn = Connection::open(&addr).expect("connect");
+    for i in 0..3 {
+        if i > 0 {
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        assert_eq!(conn.get("/healthz").expect("healthz").status, 200);
+    }
+    let r = get_once(&addr, "/v1/metrics").expect("metrics");
+    let healthz = body_json(&r.body)
+        .get("endpoints")
+        .and_then(|e| e.get("healthz"))
+        .cloned()
+        .expect("healthz endpoint entry");
+    assert_eq!(healthz.get("requests").and_then(Json::as_u64), Some(3));
+    let p50 = healthz
+        .get("p50_ms")
+        .and_then(Json::as_f64)
+        .expect("p50_ms");
+    assert!(
+        p50 < 50.0,
+        "healthz p50 {p50} ms counts the client's idle time"
+    );
+    drop(conn);
     within(Duration::from_secs(2), move || handle.shutdown());
 }

@@ -4,11 +4,12 @@
 //! `tests/golden/`). Any representational change — float formatting,
 //! member order, spec normalization — fails here.
 
+use bdc_core::registry::query::Query;
 use bdc_core::{CoreSpec, Process, StageKind};
-use bdc_serve::api::{execute, ApiCall};
+use bdc_serve::api::execute;
 use bdc_uarch::Workload;
 
-fn check(call: ApiCall, golden: &[u8]) {
+fn check(call: Query, golden: &[u8]) {
     let r = execute(&call);
     assert_eq!(r.status, 200, "{call:?}");
     assert!(
@@ -23,7 +24,7 @@ fn check(call: ApiCall, golden: &[u8]) {
 #[test]
 fn golden_library_organic() {
     check(
-        ApiCall::Library {
+        Query::Library {
             process: Process::Organic,
         },
         include_bytes!("golden/library_organic.json"),
@@ -33,7 +34,7 @@ fn golden_library_organic() {
 #[test]
 fn golden_library_silicon() {
     check(
-        ApiCall::Library {
+        Query::Library {
             process: Process::Silicon,
         },
         include_bytes!("golden/library_silicon.json"),
@@ -43,7 +44,7 @@ fn golden_library_silicon() {
 #[test]
 fn golden_synth_silicon_baseline() {
     check(
-        ApiCall::Synth {
+        Query::Synth {
             process: Process::Silicon,
             spec: CoreSpec::baseline(),
         },
@@ -62,7 +63,7 @@ fn golden_synth_organic_widened_split() {
         ],
     };
     check(
-        ApiCall::Synth {
+        Query::Synth {
             process: Process::Organic,
             spec,
         },
@@ -73,7 +74,7 @@ fn golden_synth_organic_widened_split() {
 #[test]
 fn golden_depth_silicon_11() {
     check(
-        ApiCall::Depth {
+        Query::Depth {
             process: Process::Silicon,
             stages: 11,
         },
@@ -84,7 +85,7 @@ fn golden_depth_silicon_11() {
 #[test]
 fn golden_width_organic_2_4() {
     check(
-        ApiCall::Width {
+        Query::Width {
             process: Process::Organic,
             fe: 2,
             be: 4,
@@ -96,7 +97,7 @@ fn golden_width_organic_2_4() {
 #[test]
 fn golden_ipc_gzip() {
     check(
-        ApiCall::Ipc {
+        Query::Ipc {
             spec: CoreSpec::baseline(),
             workload: Workload::Gzip,
             outer: 5,
@@ -110,16 +111,16 @@ fn golden_ipc_gzip() {
 fn experiment_body_matches_registry_render() {
     // The `/v1/experiment` body must be the registry render, line for
     // line — dispatch by id cannot drift from `bdc run <id>`.
-    let r = execute(&ApiCall::Experiment {
+    let r = execute(&Query::Experiment {
         id: "fig08".into(),
         quick: true,
     });
     assert_eq!(r.status, 200);
-    let body = bdc_serve::json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
+    let body = bdc_exec::json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
     let text = bdc_core::registry::run_one("fig08", true).unwrap().text;
     let lines: Vec<&str> = text.lines().collect();
     let served: Vec<String> = match body.get("lines") {
-        Some(bdc_serve::json::Json::Arr(items)) => items
+        Some(bdc_exec::json::Json::Arr(items)) => items
             .iter()
             .map(|l| l.as_str().unwrap().to_string())
             .collect(),

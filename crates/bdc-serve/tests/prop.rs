@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 
+use bdc_exec::json::{self, Json};
 use bdc_serve::http::{self, read_request};
-use bdc_serve::json::{self, Json};
 
 /// An arbitrary JSON value, bounded in depth and width. Floats are drawn
 /// from `f64::arbitrary`'s finite range; strings exercise the escaping

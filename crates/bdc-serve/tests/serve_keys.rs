@@ -52,8 +52,8 @@ const POSTS: [(&str, &str); 7] = [
 /// Parses raw request bytes and returns the routed call's cache key.
 fn key(raw: &str) -> u64 {
     let request = http::read_request(&mut raw.as_bytes()).expect("well-formed request");
-    match api::route(&request) {
-        Route::Call(call) => call.cache_key(),
+    match api::route(&request).1 {
+        Route::Call(query) => api::cache_key(&query),
         _ => panic!("not a computational call: {raw:?}"),
     }
 }
