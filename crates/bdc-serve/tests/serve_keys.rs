@@ -82,16 +82,3 @@ fn serve_cache_keys_are_pinned() {
         "serve cache keys changed (digest {digest:#018x}): {hex:?}"
     );
 }
-
-#[test]
-fn get_and_post_forms_share_keys() {
-    let keys = keys();
-    // GET synth with a comma list == POST synth with an array.
-    assert_eq!(keys[3], keys[GETS.len() + 1]);
-    // GET ipc budget=full == POST ipc budget "full".
-    assert_eq!(keys[9], keys[GETS.len() + 4]);
-    // GET experiment at the standard budget == its POST form.
-    assert_eq!(keys[12], keys[GETS.len() + 6]);
-    // The two experiment budgets key apart.
-    assert_ne!(keys[11], keys[12]);
-}
