@@ -453,44 +453,65 @@ pub fn width_ipc_matrix(fe: &[usize], be: &[usize], budget: SimBudget) -> Vec<Ve
     rows
 }
 
+/// Front-end widths of the Figs 13/14 grid (matrix columns).
+pub const WIDTH_FE: [usize; 6] = [1, 2, 3, 4, 5, 6];
+/// Back-end pipe counts of the Figs 13/14 grid (matrix rows).
+pub const WIDTH_BE: [usize; 5] = [3, 4, 5, 6, 7];
+
 /// Figures 13+14 for one process, given the shared IPC matrix.
 pub fn fig13_14_width(kit: &TechKit, ipc: &[Vec<f64>]) -> WidthMatrix {
-    let fe: Vec<usize> = (1..=6).collect();
-    let be: Vec<usize> = (3..=7).collect();
-    let mut perf = vec![vec![0.0; fe.len()]; be.len()];
-    let mut area = vec![vec![0.0; fe.len()]; be.len()];
-    let mut freq = vec![vec![0.0; fe.len()]; be.len()];
-    // All 30 width configs synthesize independently (and hit the artifact
-    // cache when warm).
-    let cells: Vec<(usize, usize)> = be
+    let (freq, area) = width_freq_area(kit);
+    let mut perf: Vec<Vec<f64>> = freq
         .iter()
-        .flat_map(|&b| fe.iter().map(move |&f| (f, b)))
+        .zip(ipc)
+        .map(|(f, i)| f.iter().zip(i).map(|(&f, &i)| performance(i, f)).collect())
         .collect();
-    let synths = par_map(&cells, |&(f, b)| {
-        synthesize_core_cached(kit, &CoreSpec::with_widths(f, b))
-    });
-    for (i, synth) in synths.iter().enumerate() {
-        let (r, c) = (i / fe.len(), i % fe.len());
-        freq[r][c] = synth.frequency;
-        area[r][c] = synth.area_um2;
-        perf[r][c] = performance(ipc[r][c], synth.frequency);
-    }
-    // Normalize to maxima, like the paper's matrices.
-    let pmax = perf.iter().flatten().copied().fold(f64::MIN, f64::max);
-    let amax = area.iter().flatten().copied().fold(f64::MIN, f64::max);
-    for r in 0..be.len() {
-        for c in 0..fe.len() {
-            perf[r][c] /= pmax;
-            area[r][c] /= amax;
-        }
-    }
+    // Normalize to the maximum, like the paper's matrices.
+    normalize_to_max(&mut perf);
     WidthMatrix {
-        fe,
-        be,
+        fe: WIDTH_FE.to_vec(),
+        be: WIDTH_BE.to_vec(),
         perf,
         area,
         freq,
         ipc: ipc.to_vec(),
+    }
+}
+
+/// Figure 14 for one process: normalized area over the width grid, rows
+/// [`WIDTH_BE`], columns [`WIDTH_FE`]. Area needs no IPC.
+pub fn fig14_width_area(kit: &TechKit) -> Vec<Vec<f64>> {
+    width_freq_area(kit).1
+}
+
+/// Synthesizes the 30 width points: absolute clock (Hz) and area
+/// normalized to its maximum, per `[be row][fe col]`.
+fn width_freq_area(kit: &TechKit) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    // All 30 width configs synthesize independently (and hit the artifact
+    // cache when warm).
+    let cells: Vec<(usize, usize)> = WIDTH_BE
+        .iter()
+        .flat_map(|&b| WIDTH_FE.iter().map(move |&f| (f, b)))
+        .collect();
+    let synths = par_map(&cells, |&(f, b)| {
+        synthesize_core_cached(kit, &CoreSpec::with_widths(f, b))
+    });
+    let rows = |value: fn(&SynthesizedCore) -> f64| -> Vec<Vec<f64>> {
+        synths
+            .chunks(WIDTH_FE.len())
+            .map(|row| row.iter().map(value).collect())
+            .collect()
+    };
+    let freq = rows(|s| s.frequency);
+    let mut area = rows(|s| s.area_um2);
+    normalize_to_max(&mut area);
+    (freq, area)
+}
+
+fn normalize_to_max(m: &mut [Vec<f64>]) {
+    let max = m.iter().flatten().copied().fold(f64::MIN, f64::max);
+    for v in m.iter_mut().flatten() {
+        *v /= max;
     }
 }
 
@@ -563,6 +584,7 @@ pub fn driver_names() -> &'static [&'static str] {
         "fig12_alu_depth",
         "width_ipc_matrix",
         "fig13_14_width",
+        "fig14_width_area",
         "fig15_wire_ablation",
         "table_library",
         "table_mapping_preference",

@@ -162,7 +162,7 @@ pub static NODES: &[Node] = &[
         title: "Fig 13",
         what: "performance: front-end width 1..6 x back-end pipes 3..7",
         legacy_bin: "fig13_width_perf",
-        drivers: &["width_ipc_matrix"],
+        drivers: &["width_ipc_matrix", "fig13_14_width"],
         deps: BOTH_LIBS,
         run: render::fig13,
     },
@@ -171,7 +171,7 @@ pub static NODES: &[Node] = &[
         title: "Fig 14",
         what: "area: front-end width 1..6 x back-end pipes 3..7",
         legacy_bin: "fig14_width_area",
-        drivers: &["fig13_14_width"],
+        drivers: &["fig14_width_area"],
         deps: BOTH_LIBS,
         run: render::fig14,
     },

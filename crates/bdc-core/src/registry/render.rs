@@ -20,11 +20,11 @@ use bdc_synth::sta::analyze;
 use bdc_synth::stats::{coverage_ratio, netlist_stats, render_stats};
 use bdc_uarch::{build_workload, BpredKind, OooCore, Workload};
 
-use crate::experiments::{self, SimBudget};
+use crate::experiments;
 use crate::extensions;
 use crate::flow::{alu_cluster, performance, split_chain, synthesize_core_cached};
 use crate::report::{fmt_freq, fmt_time, render_matrix, render_series, render_table};
-use crate::{CoreSpec, Process, TechKit};
+use crate::{CoreSpec, Process};
 
 use super::RunCtx;
 
@@ -388,20 +388,19 @@ pub(super) fn fig12(ctx: &RunCtx, out: &mut String) -> Result<(), String> {
 
 /// Figure 13: core performance heatmaps over superscalar widths.
 pub(super) fn fig13(ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    let budget = ctx.budget();
-    let fe: Vec<usize> = (1..=6).collect();
-    let be: Vec<usize> = (3..=7).collect();
+    let (fe, be) = (&experiments::WIDTH_FE, &experiments::WIDTH_BE);
     w!(
         out,
         "simulating the benchmark suite on all 30 width points..."
     );
-    let ipc = experiments::width_ipc_matrix(&fe, &be, budget);
+    let ipc = experiments::width_ipc_matrix(fe, be, ctx.budget());
     for p in Process::both() {
         let kit = ctx.kit(p)?;
         let m = experiments::fig13_14_width(kit, &ipc);
         out.push_str(&render_matrix(
             &format!("\n{} normalized performance:", p.name()),
-            &m,
+            fe,
+            be,
             &m.perf,
         ));
         let (b, f) = m.optimum();
@@ -409,7 +408,8 @@ pub(super) fn fig13(ctx: &RunCtx, out: &mut String) -> Result<(), String> {
     }
     out.push_str(&render_matrix(
         "\nshared geometric-mean IPC (process-independent):",
-        &experiments::fig13_14_width(&TechKit::synthetic(Process::Silicon), &ipc),
+        fe,
+        be,
         &ipc,
     ));
     w!(
@@ -420,25 +420,15 @@ pub(super) fn fig13(ctx: &RunCtx, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-/// Figure 14: core area heatmaps over superscalar widths.
+/// Figure 14: core area heatmaps over superscalar widths (no simulation).
 pub(super) fn fig14(ctx: &RunCtx, out: &mut String) -> Result<(), String> {
-    // Area does not need IPC; use the minimal budget for the shared matrix
-    // (fixed — deliberately not the plan budget).
-    let ipc = experiments::width_ipc_matrix(
-        &(1..=6).collect::<Vec<_>>(),
-        &(3..=7).collect::<Vec<_>>(),
-        SimBudget {
-            outer: 2,
-            instructions: 500,
-        },
-    );
     for p in Process::both() {
         let kit = ctx.kit(p)?;
-        let m = experiments::fig13_14_width(kit, &ipc);
         out.push_str(&render_matrix(
             &format!("\n{} normalized area:", p.name()),
-            &m,
-            &m.area,
+            &experiments::WIDTH_FE,
+            &experiments::WIDTH_BE,
+            &experiments::fig14_width_area(kit),
         ));
     }
     w!(

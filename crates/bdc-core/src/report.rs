@@ -1,7 +1,5 @@
 //! Rendering helpers: paper-style tables and heatmaps as plain text.
 
-use crate::experiments::WidthMatrix;
-
 /// Formats seconds with an adaptive engineering unit.
 pub fn fmt_time(seconds: f64) -> String {
     let (v, u) = if seconds >= 1.0 {
@@ -73,15 +71,15 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Renders a width matrix like the paper's Figure 13/14 heatmaps:
 /// rows = back-end pipes (3–7), columns = front-end width (1–6).
-pub fn render_matrix(title: &str, m: &WidthMatrix, values: &[Vec<f64>]) -> String {
+pub fn render_matrix(title: &str, fe: &[usize], be: &[usize], values: &[Vec<f64>]) -> String {
     let mut out = format!("{title}\n       ");
-    for f in &m.fe {
+    for f in fe {
         out.push_str(&format!("fe={f:<5}"));
     }
     out.push('\n');
-    for (r, b) in m.be.iter().enumerate() {
+    for (r, b) in be.iter().enumerate() {
         out.push_str(&format!("be={b}   "));
-        for v in values[r].iter().take(m.fe.len()) {
+        for v in values[r].iter().take(fe.len()) {
             out.push_str(&format!("{v:.2}   "));
         }
         out.push('\n');

@@ -9,8 +9,9 @@
 //! cache → coalesce → bounded queue → shed). The `bdc-cluster` router
 //! runs the same [`AcceptLoop`] with its own connection handler.
 //!
-//! Shutdown: `SIGTERM`/`SIGINT` set a flag (see [`install_signal_handlers`])
-//! that [`ServerHandle::run_until_signalled`] polls; tests and the bench
+//! Shutdown: `SIGTERM`/`SIGINT` set a flag and write a self-pipe (see
+//! [`install_signal_handlers`]) that wakes
+//! [`ServerHandle::run_until_signalled`] at once; tests and the bench
 //! harness call [`ServerHandle::shutdown`] directly. Either way the
 //! acceptor is woken by one connection to the listener's own address and
 //! stops accepting, the read side of every open connection is shut so an
@@ -21,8 +22,14 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
+#[cfg(unix)]
+use std::sync::atomic::AtomicI32;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+#[cfg(unix)]
+use std::sync::OnceLock;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,21 +89,57 @@ impl Default for ServeConfig {
 /// Signal-driven shutdown flag, shared with the handlers below.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
+/// Raw descriptor of the self-pipe's write end, for the handler; -1 until
+/// [`install_signal_handlers`] runs.
+#[cfg(unix)]
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+/// The self-pipe `(read end, write end)`: the handler writes one byte
+/// after setting [`SIGNALLED`], which wakes [`wait_for_signal`] at once.
+/// `None` if the pipe cannot be made; the wait then polls the flag.
+#[cfg(unix)]
+fn wake_pipe() -> Option<&'static (UnixStream, UnixStream)> {
+    static PIPE: OnceLock<Option<(UnixStream, UnixStream)>> = OnceLock::new();
+    PIPE.get_or_init(|| {
+        let (rx, tx) = UnixStream::pair().ok()?;
+        // A burst of signals must never block the handler on a full pipe.
+        tx.set_nonblocking(true).ok()?;
+        Some((rx, tx))
+    })
+    .as_ref()
+}
+
 /// Installs `SIGINT`/`SIGTERM` handlers that request a graceful shutdown
 /// (idempotent; unix only — elsewhere it is a no-op and ctrl-c falls back
 /// to process default).
 #[cfg(unix)]
 pub fn install_signal_handlers() {
+    use std::os::fd::AsRawFd;
+    if let Some((_, tx)) = wake_pipe() {
+        WAKE_FD.store(tx.as_raw_fd(), Ordering::SeqCst);
+    }
     // The one unsafe block in the workspace: registering a libc signal
     // handler has no safe std equivalent, and the handler body is
-    // async-signal-safe (a single atomic store).
+    // async-signal-safe (two atomics and one non-blocking write(2), which
+    // sets errno only when the pipe is already full of wake bytes).
     #[allow(unsafe_code)]
     {
         extern "C" fn on_signal(_sig: i32) {
             SIGNALLED.store(true, Ordering::SeqCst);
+            let fd = WAKE_FD.load(Ordering::SeqCst);
+            if fd >= 0 {
+                let byte = 1u8;
+                // SAFETY: `buf` points at one live byte on this stack, and
+                // `fd` is the write end that `wake_pipe` keeps open for the
+                // life of the process.
+                unsafe {
+                    write(fd, &byte, 1);
+                }
+            }
         }
         extern "C" {
             fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+            fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         }
         unsafe {
             signal(2, on_signal); // SIGINT
@@ -112,6 +155,20 @@ pub fn install_signal_handlers() {}
 /// Whether a shutdown signal has been observed.
 pub fn signalled() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
+}
+
+/// Blocks until a shutdown signal has been observed, reading the
+/// self-pipe between checks of the flag (polling where there is none).
+fn wait_for_signal() {
+    while !signalled() {
+        #[cfg(unix)]
+        if let Some((rx, _)) = wake_pipe() {
+            // A wake byte or an interrupted read both lead back to the check.
+            let _ = std::io::Read::read(&mut &*rx, &mut [0u8; 1]);
+            continue;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 /// A running server: the accept loop, the engine and its batching thread.
@@ -134,9 +191,7 @@ impl ServerHandle {
 
     /// Blocks until a shutdown signal arrives, then shuts down gracefully.
     pub fn run_until_signalled(self) {
-        while !signalled() {
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        wait_for_signal();
         self.shutdown();
     }
 

@@ -93,6 +93,8 @@ pub struct OooCore {
     lsq_len: usize,
     /// Lower bound on `complete_at` over `Executing` entries.
     next_complete: u64,
+    /// Something may have become issuable since the last issue scan.
+    wake: bool,
     halted: bool,
     stats: SimStats,
 }
@@ -121,6 +123,7 @@ impl OooCore {
             iq_len: 0,
             lsq_len: 0,
             next_complete: u64::MAX,
+            wake: false,
             halted: false,
             cfg,
             stats: SimStats::default(),
@@ -201,6 +204,7 @@ impl OooCore {
                 continue;
             }
             e.state = Exec::Done;
+            self.wake = true;
             if e.instr.op.is_mem() {
                 self.lsq_len -= 1;
             }
@@ -309,61 +313,72 @@ impl OooCore {
         }
     }
 
+    /// Issues ready entries oldest first. The scan runs only after a wake:
+    /// an entry reached `Done`, dispatch added an IQ entry, or a ready
+    /// entry found its pipes busy. Flush and retire remove only younger or
+    /// `Done` entries, so neither can make a waiting entry issuable.
     fn issue(&mut self) {
-        let cycle = self.cycle;
-        let extra = self.cfg.stages.issue_to_execute();
-        for i in 0..self.rob.len() {
-            if self.rob[i].state != Exec::Waiting || !self.rob[i].in_iq {
-                continue;
-            }
-            let instr = self.rob[i].instr;
-            let producers = self.rob[i].producers;
-            // A missing source has no producer, so it is always ready.
-            if !producers.iter().all(|&p| self.producer_ready(p)) {
-                continue;
-            }
-            // Loads additionally wait for all older stores to resolve.
-            if instr.op == Op::Lw {
-                let seq = self.rob[i].seq;
-                let blocked = self
-                    .rob
-                    .iter()
-                    .take(i)
-                    .any(|e| e.seq < seq && e.instr.op == Op::Sw && e.store.is_none());
-                if blocked {
-                    continue;
-                }
-            }
-            // Find a pipe.
-            let pipe = self.find_pipe(instr.op, cycle);
-            let Some(pipe) = pipe else { continue };
-
-            // Capture operand values.
-            let mut regs = [0u32; 16];
-            for (k, &r) in instr.sources().iter().enumerate() {
-                regs[r.0 as usize] = self.source_value(r, producers[k]);
-            }
-
-            let pc = self.rob[i].pc;
-            let my_seq = self.rob[i].seq;
-            let (latency, value, store, next_pc) = self.execute_op(instr, pc, &regs, my_seq);
-            let occupy = if instr.op == Op::Div || instr.op == Op::Rem {
-                latency // unpipelined divider
-            } else {
-                1
-            };
-            self.pipe_busy[pipe] = cycle + occupy;
-            let complete_at = cycle + extra + latency;
-            self.next_complete = self.next_complete.min(complete_at);
-            self.iq_len -= 1;
-            let e = &mut self.rob[i];
-            e.state = Exec::Executing;
-            e.complete_at = complete_at;
-            e.value = value;
-            e.store = store;
-            e.actual_next = next_pc;
-            e.in_iq = false;
+        if !self.wake {
+            return;
         }
+        self.wake = false;
+        // An older store has not issued, so its address is still unknown.
+        let mut store_pending = false;
+        for i in 0..self.rob.len() {
+            let e = &self.rob[i];
+            if e.state != Exec::Waiting || !e.in_iq {
+                continue;
+            }
+            let is_store = e.instr.op == Op::Sw;
+            let issued = self.try_issue(i, store_pending);
+            store_pending |= is_store && !issued;
+        }
+    }
+
+    /// Issues the waiting entry at `i` if its sources are ready, a load
+    /// has no older unresolved store, and a pipe is free.
+    fn try_issue(&mut self, i: usize, store_pending: bool) -> bool {
+        let cycle = self.cycle;
+        let (instr, producers) = (self.rob[i].instr, self.rob[i].producers);
+        // A missing source has no producer, so it is always ready.
+        if !producers.iter().all(|&p| self.producer_ready(p)) {
+            return false;
+        }
+        // Loads additionally wait for all older stores to resolve.
+        if instr.op == Op::Lw && store_pending {
+            return false;
+        }
+        let Some(pipe) = self.find_pipe(instr.op, cycle) else {
+            // Ready but every pipe is busy: pipes free up as the clock runs.
+            self.wake = true;
+            return false;
+        };
+
+        // Capture operand values.
+        let mut regs = [0u32; 16];
+        for (k, &r) in instr.sources().iter().enumerate() {
+            regs[r.0 as usize] = self.source_value(r, producers[k]);
+        }
+
+        let pc = self.rob[i].pc;
+        let (latency, value, store, next_pc) = self.execute_op(instr, pc, &regs, i);
+        let occupy = if instr.op == Op::Div || instr.op == Op::Rem {
+            latency // unpipelined divider
+        } else {
+            1
+        };
+        self.pipe_busy[pipe] = cycle + occupy;
+        let complete_at = cycle + self.cfg.stages.issue_to_execute() + latency;
+        self.next_complete = self.next_complete.min(complete_at);
+        self.iq_len -= 1;
+        let e = &mut self.rob[i];
+        e.state = Exec::Executing;
+        e.complete_at = complete_at;
+        e.value = value;
+        e.store = store;
+        e.actual_next = next_pc;
+        e.in_iq = false;
+        true
     }
 
     fn find_pipe(&self, op: Op, cycle: u64) -> Option<usize> {
@@ -380,15 +395,15 @@ impl OooCore {
     }
 
     /// Executes the operation functionally and returns
-    /// `(latency, dest value, store addr/data, next pc)`. `my_seq` is the
-    /// issuing instruction's age, used to restrict store-to-load forwarding
-    /// to older stores.
+    /// `(latency, dest value, store addr/data, next pc)`. `idx` is the
+    /// issuing instruction's ROB position: store-to-load forwarding
+    /// searches only the older entries before it.
     fn execute_op(
         &mut self,
         instr: Instr,
         pc: u32,
         regs: &[u32; 16],
-        my_seq: u64,
+        idx: usize,
     ) -> (u64, Option<u32>, Option<(u32, u32)>, u32) {
         match instr.op {
             Op::Sw => {
@@ -401,13 +416,9 @@ impl OooCore {
                 // Forward from the youngest older in-flight store.
                 let fwd = self
                     .rob
-                    .iter()
+                    .range(..idx)
                     .rev()
-                    .find(|e| {
-                        e.instr.op == Op::Sw
-                            && e.seq < my_seq
-                            && e.store.map(|(a, _)| a == addr).unwrap_or(false)
-                    })
+                    .find(|e| e.instr.op == Op::Sw && e.store.is_some_and(|(a, _)| a == addr))
                     .and_then(|e| e.store.map(|(_, d)| d));
                 match fwd {
                     Some(d) => (self.dcache.hit_latency(), Some(d), None, pc.wrapping_add(1)),
@@ -474,6 +485,7 @@ impl OooCore {
                 Exec::Waiting
             };
             self.iq_len += usize::from(state == Exec::Waiting);
+            self.wake |= state == Exec::Waiting;
             self.lsq_len += usize::from(is_mem);
             self.rob.push_back(RobEntry {
                 seq,
@@ -754,10 +766,8 @@ mod tests {
         assert!(core.stats.flushes > 100, "flushes {}", core.stats.flushes);
     }
 
-    #[test]
-    fn unpipelined_divider_blocks_its_pipe() {
-        // Back-to-back divides serialize on the divider; independent adds
-        // on other pipes keep flowing.
+    /// Back-to-back divides that serialize on an unpipelined divider.
+    fn divider_program() -> Program {
         let mut a = Asm::new();
         let top = a.label();
         a.li(Reg(1), 1000);
@@ -770,7 +780,99 @@ mod tests {
         a.addi(Reg(3), Reg(3), 1);
         a.blt(Reg(3), Reg(4), top);
         a.halt();
-        let p = a.assemble();
+        a.assemble()
+    }
+
+    /// Whether a full issue scan would issue anything now, checked without
+    /// side effects and with the per-load older-store search: some waiting
+    /// entry has ready sources, no older unresolved store if it is a load,
+    /// and a free pipe.
+    fn scan_would_issue(core: &OooCore) -> bool {
+        (0..core.rob.len()).any(|i| {
+            let e = &core.rob[i];
+            let store_blocked = e.instr.op == Op::Lw
+                && core
+                    .rob
+                    .iter()
+                    .take(i)
+                    .any(|o| o.instr.op == Op::Sw && o.store.is_none());
+            e.state == Exec::Waiting
+                && e.in_iq
+                && e.producers.iter().all(|&p| core.producer_ready(p))
+                && !store_blocked
+                && core.find_pipe(e.instr.op, core.cycle).is_some()
+        })
+    }
+
+    /// Ticks `core` as `OooCore::tick` does until HALT retires or
+    /// `max_cycles` pass, and on every tick whose issue scan is skipped
+    /// checks that a full scan would have issued nothing. Returns the
+    /// number of skipped scans.
+    fn tick_checking_wake(core: &mut OooCore, max_cycles: u64) -> u64 {
+        let mut skipped = 0;
+        while !core.halted && core.cycle < max_cycles {
+            core.complete();
+            core.retire();
+            if !core.wake {
+                skipped += 1;
+                assert!(
+                    !scan_would_issue(core),
+                    "skipped an issue scan that would issue at cycle {}",
+                    core.cycle
+                );
+            }
+            core.issue();
+            core.dispatch();
+            core.fetch();
+            core.cycle += 1;
+            core.stats.cycles = core.cycle;
+        }
+        skipped
+    }
+
+    #[test]
+    fn skipped_issue_scans_would_issue_nothing() {
+        use crate::workloads::{build_workload, Workload};
+        let mut small_queues = CoreConfig::with_widths(4, 6);
+        small_queues.iq_size = 4;
+        small_queues.lsq_size = 2;
+        let mut deep_issue = CoreConfig::baseline();
+        deep_issue.stages = deep_issue.stages.split("issue").split("regread");
+        let configs = [
+            CoreConfig::baseline(),
+            CoreConfig::with_widths(6, 7),
+            small_queues,
+            deep_issue,
+        ];
+        let mut programs: Vec<(Program, usize)> = Workload::all()
+            .into_iter()
+            .map(|w| (build_workload(w, 20), w.memory_words()))
+            .collect();
+        programs.push((branchy_program(), 1 << 14));
+        programs.push((forwarding_program(), 4096));
+        programs.push((divider_program(), 4096));
+        let mut skipped = 0;
+        for cfg in &configs {
+            for (p, words) in &programs {
+                let mut core = OooCore::new(p, cfg.clone(), *words);
+                skipped += tick_checking_wake(&mut core, 20_000);
+                // The hand-rolled tick above is `tick` itself.
+                let mut plain = OooCore::new(p, cfg.clone(), *words);
+                while !plain.halted && plain.cycle < 20_000 {
+                    plain.tick();
+                }
+                assert_eq!(core.stats(), plain.stats());
+                assert_eq!(core.arch_regs, plain.arch_regs);
+            }
+        }
+        assert!(skipped > 10_000, "only {skipped} scans skipped");
+    }
+
+    #[test]
+    fn unpipelined_divider_blocks_its_pipe() {
+        // Back-to-back divides serialize on the divider; independent adds
+        // on other pipes keep flowing.
+        let p = divider_program();
         let narrow = OooCore::new(&p, CoreConfig::with_widths(2, 3), 4096).run(50_000);
         let wide = OooCore::new(&p, CoreConfig::with_widths(2, 5), 4096).run(50_000);
         // With one ALU pipe the two divides serialize (24+ cycles/iter);
