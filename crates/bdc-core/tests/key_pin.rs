@@ -13,6 +13,10 @@
 //! `Debug` text, the library fingerprint and the synthesis settings
 //! rather than stage keys. A change to any of those re-addresses every
 //! stored simulation and synthesis, so it has to move a literal too.
+//! A third digest pins the bytes of those stored files and the cell
+//! records of both synthetic libraries, so a change to the record
+//! format — which would leave every address in place but turn every
+//! warm entry into a miss — moves a literal as well.
 
 use bdc_core::experiments::SimBudget;
 use bdc_core::registry::{node_cache_key_with, NODES};
@@ -100,9 +104,13 @@ fn synth_alu_and_ipc_store_addresses_are_pinned() {
         })
         .filter(|f| f.ends_with(".txt"))
         .collect();
+    files.sort();
+    let mut bytes: Vec<String> = files
+        .iter()
+        .map(|f| std::fs::read_to_string(dir.join(f)).expect("readable artifact"))
+        .collect();
     std::env::remove_var("BDC_CACHE_DIR");
     let _ = std::fs::remove_dir_all(&dir);
-    files.sort();
     assert_eq!(files.len(), 2 * (3 + 2) + 3, "{files:?}");
     let refs: Vec<&str> = files.iter().map(String::as_str).collect();
     let digest = format!("{:016x}", bdc_exec::fnv1a(&refs));
@@ -110,4 +118,11 @@ fn synth_alu_and_ipc_store_addresses_are_pinned() {
         digest, "81dda5a943c0728e",
         "a synth, alu or ipc address moved"
     );
+    for process in Process::both() {
+        let lib = TechKit::synthetic(process).lib;
+        bytes.extend(lib.cells().iter().map(bdc_cells::write_cell_text));
+    }
+    let refs: Vec<&str> = bytes.iter().map(String::as_str).collect();
+    let digest = format!("{:016x}", bdc_exec::fnv1a(&refs));
+    assert_eq!(digest, "e1e0fef7142db7db", "a stored record byte moved");
 }
