@@ -14,6 +14,7 @@ use crate::nldm::NldmTable;
 use crate::technology::Process;
 use crate::topology::LogicKind;
 use crate::wire::WireModel;
+use bdc_exec::{RecordReader, RecordWriter};
 
 /// The six cell kinds of the paper's library.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -320,135 +321,80 @@ impl CellLibrary {
 // Per-cell artifact serialization (the stage cache's on-disk unit)
 // ---------------------------------------------------------------------------
 
-fn f64_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn parse_f64_hex(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// Serializes one characterized cell as a bit-exact text artifact
-/// (`bdccell v1`): every `f64` is written as the hex of its bit pattern,
-/// so [`parse_cell_text`] reconstructs the exact same values and a cell
-/// loaded from cache is indistinguishable from a freshly characterized
-/// one.
+/// Serializes one characterized cell as a bit-exact store record
+/// (`bdccell v1`, on [`RecordWriter`]): every `f64` is written as the hex
+/// of its bit pattern, so [`parse_cell_text`] reconstructs the exact same
+/// values and a cell loaded from cache is indistinguishable from a
+/// freshly characterized one.
 pub fn write_cell_text(cell: &Cell) -> String {
-    let mut out = String::new();
-    out.push_str("bdccell v1\n");
-    out.push_str(&format!("kind {}\n", cell.kind.name()));
-    out.push_str(&format!("area {}\n", f64_hex(cell.area)));
-    out.push_str(&format!("input_cap {}\n", f64_hex(cell.input_cap)));
-    out.push_str(&format!("leakage_w {}\n", f64_hex(cell.leakage_w)));
-    out.push_str(&format!(
-        "switching_energy {}\n",
-        f64_hex(cell.switching_energy)
-    ));
-    let mut table = |label: &str, t: &NldmTable| {
-        out.push_str(&format!(
-            "table {label} {} {}\n",
-            t.slews().len(),
-            t.loads().len()
-        ));
-        let axis = |name: &str, v: &[f64]| {
-            let mut line = String::from(name);
-            for x in v {
-                line.push(' ');
-                line.push_str(&f64_hex(*x));
-            }
-            line.push('\n');
-            line
-        };
-        out.push_str(&axis("slews", t.slews()));
-        out.push_str(&axis("loads", t.loads()));
+    let mut w = RecordWriter::new("bdccell v1");
+    w.line("kind").name(cell.kind.name());
+    w.line("area").f64(cell.area);
+    w.line("input_cap").f64(cell.input_cap);
+    w.line("leakage_w").f64(cell.leakage_w);
+    w.line("switching_energy").f64(cell.switching_energy);
+    let timing = &cell.timing;
+    for (label, t) in [
+        ("delay_rise", &timing.delay_rise),
+        ("delay_fall", &timing.delay_fall),
+        ("out_slew", &timing.out_slew),
+    ] {
+        let (slews, loads) = (t.slews(), t.loads());
+        w.line("table")
+            .name(label)
+            .int(slews.len())
+            .int(loads.len());
+        w.line("slews").f64s(slews);
+        w.line("loads").f64s(loads);
         for row in t.values() {
-            out.push_str(&axis("row", row));
+            w.line("row").f64s(row);
         }
-    };
-    table("delay_rise", &cell.timing.delay_rise);
-    table("delay_fall", &cell.timing.delay_fall);
-    table("out_slew", &cell.timing.out_slew);
-    out
+    }
+    w.finish()
 }
 
-/// Parses a `bdccell v1` artifact back into a [`Cell`]. Any malformed
+/// Parses a `bdccell v1` record back into a [`Cell`]. Any malformed
 /// input — wrong header, bad hex, short rows, non-increasing axes,
 /// trailing junk — returns `None` (a cache miss), never a panic: the
 /// stage cache treats corrupt artifacts as absent and recomputes.
 pub fn parse_cell_text(text: &str) -> Option<Cell> {
-    let mut lines = text.lines();
-    if lines.next()? != "bdccell v1" {
-        return None;
-    }
-    let mut field = |name: &str| -> Option<String> {
-        let line = lines.next()?;
-        let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
-        Some(rest.to_string())
-    };
-    let kind = CellKind::from_name(&field("kind")?)?;
-    let area = parse_f64_hex(&field("area")?)?;
-    let input_cap = parse_f64_hex(&field("input_cap")?)?;
-    let leakage_w = parse_f64_hex(&field("leakage_w")?)?;
-    let switching_energy = parse_f64_hex(&field("switching_energy")?)?;
+    let mut r = RecordReader::new(text, "bdccell v1")?;
+    let kind = CellKind::from_name(r.line("kind")?.name()?)?;
+    let area = r.line("area")?.f64()?;
+    let input_cap = r.line("input_cap")?.f64()?;
+    let leakage_w = r.line("leakage_w")?.f64()?;
+    let switching_energy = r.line("switching_energy")?.f64()?;
     let mut table = |label: &str| -> Option<NldmTable> {
-        let head = lines.next()?;
-        let mut parts = head.split(' ');
-        if parts.next()? != "table" || parts.next()? != label {
-            return None;
-        }
-        let n_slews: usize = parts.next()?.parse().ok()?;
-        let n_loads: usize = parts.next()?.parse().ok()?;
-        if parts.next().is_some() || n_slews == 0 || n_loads == 0 {
-            return None;
-        }
-        let mut axis = |name: &str, n: usize| -> Option<Vec<f64>> {
-            let line = lines.next()?;
-            let mut parts = line.split(' ');
-            if parts.next()? != name {
-                return None;
-            }
-            let v: Option<Vec<f64>> = parts.map(parse_f64_hex).collect();
-            let v = v?;
-            if v.len() != n {
-                return None;
-            }
-            Some(v)
-        };
-        let slews = axis("slews", n_slews)?;
-        let loads = axis("loads", n_loads)?;
-        // NldmTable::new panics on non-increasing axes; validate here so
-        // corruption stays a miss. NaN fails the `<` and is rejected too.
+        (r.line("table")?.name()? == label).then_some(())?;
+        let (n_slews, n_loads): (usize, usize) = (r.int()?, r.int()?);
+        let slews = r.line("slews")?.f64s(n_slews)?;
+        let loads = r.line("loads")?.f64s(n_loads)?;
+        // NldmTable::new panics on empty or non-increasing axes; validate
+        // here so corruption stays a miss. NaN fails the `<` and is
+        // rejected too.
         for a in [&slews, &loads] {
-            if !a.windows(2).all(|w| w[0] < w[1]) {
+            if a.is_empty() || !a.windows(2).all(|w| w[0] < w[1]) {
                 return None;
             }
         }
-        let mut values = Vec::with_capacity(n_slews);
-        for _ in 0..n_slews {
-            values.push(axis("row", n_loads)?);
-        }
+        let values = (0..n_slews)
+            .map(|_| r.line("row")?.f64s(n_loads))
+            .collect::<Option<Vec<_>>>()?;
         Some(NldmTable::new(slews, loads, values))
     };
-    let delay_rise = table("delay_rise")?;
-    let delay_fall = table("delay_fall")?;
-    let out_slew = table("out_slew")?;
-    if lines.next().is_some() {
-        return None;
-    }
+    let timing = GateTiming {
+        delay_rise: table("delay_rise")?,
+        delay_fall: table("delay_fall")?,
+        out_slew: table("out_slew")?,
+    };
+    r.finish()?;
     Some(Cell {
         kind,
         area,
         input_cap,
         leakage_w,
         switching_energy,
-        timing: GateTiming {
-            delay_rise,
-            delay_fall,
-            out_slew,
-        },
+        timing,
     })
 }
 

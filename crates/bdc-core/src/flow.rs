@@ -4,7 +4,7 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use bdc_cells::{CellKind, CellLibrary};
-use bdc_exec::{cached, fnv1a, MemoTable};
+use bdc_exec::{cached, fnv1a, MemoTable, RecordReader, RecordWriter};
 use bdc_synth::blocks;
 use bdc_synth::gate::Netlist;
 use bdc_synth::map::{prefers_decomposition, remap_for_library};
@@ -317,53 +317,38 @@ pub fn pipeline_alu_cached(kit: &TechKit, block: &Netlist, stages: usize) -> Pip
     r
 }
 
-/// Serializes a pipeline cut for the artifact cache (bit-exact floats).
+/// Encodes a pipeline cut as a `pipecut v1` store record (bit-exact
+/// floats, one `logic` line per stage).
 fn write_pipeline_text(r: &PipelineResult) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("pipecut v1\n");
-    let _ = writeln!(s, "stages {}", r.stages);
-    let _ = writeln!(s, "period {:016x}", r.period.to_bits());
-    let _ = writeln!(s, "frequency {:016x}", r.frequency.to_bits());
-    let _ = writeln!(s, "area_um2 {:016x}", r.area_um2.to_bits());
-    let _ = writeln!(s, "registers {}", r.registers);
-    let _ = writeln!(s, "seq_overhead {:016x}", r.seq_overhead.to_bits());
-    let _ = writeln!(s, "wire_overhead {:016x}", r.wire_overhead.to_bits());
-    for d in &r.stage_logic {
-        let _ = writeln!(s, "logic {:016x}", d.to_bits());
+    let mut w = RecordWriter::new("pipecut v1");
+    w.line("stages").int(r.stages);
+    w.line("period").f64(r.period);
+    w.line("frequency").f64(r.frequency);
+    w.line("area_um2").f64(r.area_um2);
+    w.line("registers").int(r.registers);
+    w.line("seq_overhead").f64(r.seq_overhead);
+    w.line("wire_overhead").f64(r.wire_overhead);
+    for &d in &r.stage_logic {
+        w.line("logic").f64(d);
     }
-    s
+    w.finish()
 }
 
-/// Inverse of [`write_pipeline_text`]; `None` on any malformed line,
-/// which the cache treats as a miss.
+/// Inverse of [`write_pipeline_text`]; `None` on any mismatch, which the
+/// cache treats as a miss.
 fn parse_pipeline_text(text: &str) -> Option<PipelineResult> {
-    fn take<'a>(lines: &mut std::str::Lines<'a>, name: &str) -> Option<&'a str> {
-        lines.next()?.strip_prefix(name)?.strip_prefix(' ')
-    }
-    fn take_hex(lines: &mut std::str::Lines<'_>, name: &str) -> Option<f64> {
-        Some(f64::from_bits(
-            u64::from_str_radix(take(lines, name)?, 16).ok()?,
-        ))
-    }
-    let mut lines = text.lines();
-    if lines.next()? != "pipecut v1" {
-        return None;
-    }
-    let stages: usize = take(&mut lines, "stages")?.parse().ok()?;
-    let period = take_hex(&mut lines, "period")?;
-    let frequency = take_hex(&mut lines, "frequency")?;
-    let area_um2 = take_hex(&mut lines, "area_um2")?;
-    let registers: usize = take(&mut lines, "registers")?.parse().ok()?;
-    let seq_overhead = take_hex(&mut lines, "seq_overhead")?;
-    let wire_overhead = take_hex(&mut lines, "wire_overhead")?;
-    let mut stage_logic = Vec::new();
-    for line in lines {
-        let rest = line.strip_prefix("logic ")?;
-        stage_logic.push(f64::from_bits(u64::from_str_radix(rest, 16).ok()?));
-    }
-    if stage_logic.len() != stages {
-        return None;
-    }
+    let mut r = RecordReader::new(text, "pipecut v1")?;
+    let stages = r.line("stages")?.int()?;
+    let period = r.line("period")?.f64()?;
+    let frequency = r.line("frequency")?.f64()?;
+    let area_um2 = r.line("area_um2")?.f64()?;
+    let registers = r.line("registers")?.int()?;
+    let seq_overhead = r.line("seq_overhead")?.f64()?;
+    let wire_overhead = r.line("wire_overhead")?.f64()?;
+    let stage_logic = (0..stages)
+        .map(|_| r.line("logic")?.f64())
+        .collect::<Option<_>>()?;
+    r.finish()?;
     Some(PipelineResult {
         stages,
         period,
@@ -376,61 +361,51 @@ fn parse_pipeline_text(text: &str) -> Option<PipelineResult> {
     })
 }
 
-/// Serializes a synthesized core for the artifact cache. Every float is
-/// written as its IEEE-754 bit pattern so reloads are bit-exact.
+/// Encodes a synthesized core as a `synthcore v1` store record: every
+/// float as its IEEE-754 bit pattern, so reloads are bit-exact, and one
+/// `stage` line per [`StageKind::all`], in that order.
 fn write_synth_text(core: &SynthesizedCore) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("synthcore v1\n");
-    let _ = writeln!(s, "period {:016x}", core.period.to_bits());
-    let _ = writeln!(s, "frequency {:016x}", core.frequency.to_bits());
-    let _ = writeln!(s, "area_um2 {:016x}", core.area_um2.to_bits());
-    let _ = writeln!(s, "seq_overhead {:016x}", core.seq_overhead.to_bits());
-    let _ = writeln!(s, "wire_overhead {:016x}", core.wire_overhead.to_bits());
-    let _ = writeln!(s, "critical {}", core.critical.name());
+    let mut w = RecordWriter::new("synthcore v1");
+    w.line("period").f64(core.period);
+    w.line("frequency").f64(core.frequency);
+    w.line("area_um2").f64(core.area_um2);
+    w.line("seq_overhead").f64(core.seq_overhead);
+    w.line("wire_overhead").f64(core.wire_overhead);
+    w.line("critical").name(core.critical.name());
     for st in &core.stages {
-        let _ = writeln!(
-            s,
-            "stage {} {} {:016x} {:016x}",
-            st.kind.name(),
-            st.substages,
-            st.logic_delay.to_bits(),
-            st.area_um2.to_bits()
-        );
+        w.line("stage")
+            .name(st.kind.name())
+            .int(st.substages)
+            .f64(st.logic_delay)
+            .f64(st.area_um2);
     }
-    s
+    w.finish()
 }
 
-/// Inverse of [`write_synth_text`]; `None` on any malformed line, which the
-/// cache treats as a miss (the entry is then recomputed and rewritten).
+/// Inverse of [`write_synth_text`]; `None` on any mismatch — including a
+/// missing, extra or reordered `stage` line — which the cache treats as a
+/// miss (the entry is then recomputed and rewritten).
 fn parse_synth_text(text: &str) -> Option<SynthesizedCore> {
-    let mut lines = text.lines();
-    if lines.next()? != "synthcore v1" {
-        return None;
-    }
-    let mut field = |name: &str| -> Option<f64> {
-        let line = lines.next()?;
-        let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
-        Some(f64::from_bits(u64::from_str_radix(rest, 16).ok()?))
-    };
-    let period = field("period")?;
-    let frequency = field("frequency")?;
-    let area_um2 = field("area_um2")?;
-    let seq_overhead = field("seq_overhead")?;
-    let wire_overhead = field("wire_overhead")?;
-    let critical = StageKind::from_name(lines.next()?.strip_prefix("critical ")?)?;
-    let mut stages = Vec::new();
-    for line in lines {
-        let mut parts = line.split(' ');
-        if parts.next()? != "stage" {
-            return None;
-        }
-        stages.push(StageTiming {
-            kind: StageKind::from_name(parts.next()?)?,
-            substages: parts.next()?.parse().ok()?,
-            logic_delay: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
-            area_um2: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
-        });
-    }
+    let mut r = RecordReader::new(text, "synthcore v1")?;
+    let period = r.line("period")?.f64()?;
+    let frequency = r.line("frequency")?.f64()?;
+    let area_um2 = r.line("area_um2")?.f64()?;
+    let seq_overhead = r.line("seq_overhead")?.f64()?;
+    let wire_overhead = r.line("wire_overhead")?.f64()?;
+    let critical = StageKind::from_name(r.line("critical")?.name()?)?;
+    let stages = StageKind::all()
+        .into_iter()
+        .map(|kind| {
+            (r.line("stage")?.name()? == kind.name()).then_some(())?;
+            Some(StageTiming {
+                kind,
+                substages: r.int()?,
+                logic_delay: r.f64()?,
+                area_um2: r.f64()?,
+            })
+        })
+        .collect::<Option<_>>()?;
+    r.finish()?;
     Some(SynthesizedCore {
         period,
         frequency,
@@ -513,60 +488,39 @@ pub fn measure_ipc_cached(
     stats
 }
 
-/// Serializes simulation statistics for the artifact cache. All counters
-/// are `u64`, so plain decimal text round-trips exactly.
+/// Encodes simulation statistics as a `simstats v1` store record. All
+/// counters are `u64`, so plain decimal text round-trips exactly.
 fn write_ipc_text(stats: &SimStats) -> String {
-    format!(
-        "simstats v1\ncycles {}\ninstructions {}\nbranches {}\nmispredicts {}\nflushes {}\n\
-         icache {} {}\ndcache {} {}\nloads {}\nstores {}\n",
-        stats.cycles,
-        stats.instructions,
-        stats.branches,
-        stats.mispredicts,
-        stats.flushes,
-        stats.icache.0,
-        stats.icache.1,
-        stats.dcache.0,
-        stats.dcache.1,
-        stats.loads,
-        stats.stores,
-    )
+    let mut w = RecordWriter::new("simstats v1");
+    w.line("cycles").int(stats.cycles);
+    w.line("instructions").int(stats.instructions);
+    w.line("branches").int(stats.branches);
+    w.line("mispredicts").int(stats.mispredicts);
+    w.line("flushes").int(stats.flushes);
+    w.line("icache").int(stats.icache.0).int(stats.icache.1);
+    w.line("dcache").int(stats.dcache.0).int(stats.dcache.1);
+    w.line("loads").int(stats.loads);
+    w.line("stores").int(stats.stores);
+    w.finish()
 }
 
-/// Inverse of [`write_ipc_text`]; `None` on any malformed line, which the
-/// cache treats as a miss.
+/// Inverse of [`write_ipc_text`]; `None` on any mismatch, which the cache
+/// treats as a miss.
 fn parse_ipc_text(text: &str) -> Option<SimStats> {
-    let mut lines = text.lines();
-    if lines.next()? != "simstats v1" {
-        return None;
-    }
-    let mut nums = |name: &str, n: usize| -> Option<Vec<u64>> {
-        let line = lines.next()?;
-        let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
-        let vals: Vec<u64> = rest
-            .split(' ')
-            .map(|p| p.parse().ok())
-            .collect::<Option<_>>()?;
-        (vals.len() == n).then_some(vals)
-    };
+    let mut r = RecordReader::new(text, "simstats v1")?;
     let stats = SimStats {
-        cycles: nums("cycles", 1)?[0],
-        instructions: nums("instructions", 1)?[0],
-        branches: nums("branches", 1)?[0],
-        mispredicts: nums("mispredicts", 1)?[0],
-        flushes: nums("flushes", 1)?[0],
-        icache: {
-            let v = nums("icache", 2)?;
-            (v[0], v[1])
-        },
-        dcache: {
-            let v = nums("dcache", 2)?;
-            (v[0], v[1])
-        },
-        loads: nums("loads", 1)?[0],
-        stores: nums("stores", 1)?[0],
+        cycles: r.line("cycles")?.int()?,
+        instructions: r.line("instructions")?.int()?,
+        branches: r.line("branches")?.int()?,
+        mispredicts: r.line("mispredicts")?.int()?,
+        flushes: r.line("flushes")?.int()?,
+        icache: (r.line("icache")?.int()?, r.int()?),
+        dcache: (r.line("dcache")?.int()?, r.int()?),
+        loads: r.line("loads")?.int()?,
+        stores: r.line("stores")?.int()?,
     };
-    lines.next().is_none().then_some(stats)
+    r.finish()?;
+    Some(stats)
 }
 
 /// `performance = IPC × frequency` (the paper's §5.3/§5.4 metric), in
@@ -670,6 +624,52 @@ mod tests {
         // Trailing junk must not parse as a valid artifact.
         let trailing = format!("{}extra\n", write_ipc_text(&stats));
         assert_eq!(parse_ipc_text(&trailing), None);
+    }
+
+    #[test]
+    fn synth_record_missing_a_stage_is_a_miss() {
+        let kit = TechKit::synthetic(Process::Silicon);
+        let text = write_synth_text(&synthesize_core(&kit, &CoreSpec::baseline()));
+        let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        assert!(text[last..].starts_with("stage retire "), "{text}");
+        assert!(parse_synth_text(&text[..last]).is_none());
+        let swapped = text.replacen("stage fetch", "stage decode", 1);
+        assert!(parse_synth_text(&swapped).is_none());
+    }
+
+    #[test]
+    fn every_line_prefix_and_extra_line_is_a_miss() {
+        let kit = TechKit::synthetic(Process::Organic);
+        let stats = measure_ipc(&CoreSpec::baseline(), Workload::Gzip, 2, 2_000);
+        let cut = pipeline_alu(&kit, &blocks::array_multiplier(8), 3);
+        let core = synthesize_core(&kit, &CoreSpec::baseline());
+        let decodes = |kind: &str, text: &str| match kind {
+            "cell" => bdc_cells::parse_cell_text(text).is_some(),
+            "alu" => parse_pipeline_text(text).is_some(),
+            "synth" => parse_synth_text(text).is_some(),
+            _ => parse_ipc_text(text).is_some(),
+        };
+        for (kind, text) in [
+            (
+                "cell",
+                bdc_cells::write_cell_text(kit.lib.cell(CellKind::Nand2)),
+            ),
+            ("alu", write_pipeline_text(&cut)),
+            ("synth", write_synth_text(&core)),
+            ("ipc", write_ipc_text(&stats)),
+        ] {
+            let decodes = |t: &str| decodes(kind, t);
+            assert!(decodes(&text), "{kind}: the full record decodes");
+            let lines: Vec<&str> = text.lines().collect();
+            for n in 0..lines.len() {
+                let prefix: String = lines[..n].iter().map(|l| format!("{l}\n")).collect();
+                assert!(!decodes(&prefix), "{kind}: {n}-line prefix decoded");
+            }
+            for extra in lines.iter().copied().chain(["extra", ""]) {
+                let longer = format!("{text}{extra}\n");
+                assert!(!decodes(&longer), "{kind}: extra line {extra:?} decoded");
+            }
+        }
     }
 
     #[test]

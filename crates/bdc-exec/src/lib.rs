@@ -24,7 +24,9 @@
 //!   schema-version salt; invalidation is key change, so stale entries are
 //!   simply never addressed again. Flow stages reach it through one entry
 //!   point, [`cached`], and keep in-process memos in a [`MemoTable`] — the
-//!   per-key single-flight table [`cached`] is built on.
+//!   per-key single-flight table [`cached`] is built on. Stages whose
+//!   artifacts must reload bit-exactly encode them with [`RecordWriter`]
+//!   and decode them with [`RecordReader`], the one store record codec.
 //!
 //! Four supporting pieces ride along: [`env_config`] validates the shared
 //! `BDC_WORKERS` / `BDC_CACHE_DIR` / `BDC_NO_CACHE` / `BDC_FAULTS` /
@@ -52,6 +54,7 @@ pub mod faults;
 pub mod json;
 mod memo;
 mod pool;
+mod record;
 mod seed;
 mod stages;
 
@@ -65,6 +68,7 @@ pub use cache::{
 pub use env::{env_config, EnvConfig};
 pub use memo::{cached, MemoTable};
 pub use pool::{par_map, par_mapi, parse_workers, set_workers, workers};
+pub use record::{RecordReader, RecordWriter};
 pub use seed::{task_seed, SplitMix64};
 pub use stages::{
     enter_scope, new_scope, note_stage, scope_counters, stage_counters, stage_delta, StageCount,
