@@ -563,16 +563,11 @@ pub fn table_baseline_frequency(kit: &TechKit) -> SynthesizedCore {
     synthesize_core_cached(kit, &CoreSpec::baseline())
 }
 
-/// Convenience for callers that only need the process pair label.
-pub fn process_pair() -> [Process; 2] {
-    Process::both()
-}
-
 /// The canonical experiment drivers this module exports — one name per
 /// public driver that produces (part of) a figure or table. The registry
 /// completeness test asserts every name here is claimed by exactly one
-/// registered node. Helpers that are not figure/table drivers
-/// ([`table_inverter_dc`], [`process_pair`]) are deliberately absent.
+/// registered node. A helper that is not a figure/table driver
+/// ([`table_inverter_dc`]) is deliberately absent.
 pub fn driver_names() -> &'static [&'static str] {
     &[
         "fig03_transfer",
