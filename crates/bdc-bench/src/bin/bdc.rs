@@ -364,7 +364,7 @@ fn cmd_cluster(args: &[String]) -> ! {
         }
     };
     bdc_serve::install_signal_handlers();
-    let code = bdc_cluster::run_cluster(&parsed, &bdc_serve::signalled);
+    let code = bdc_cluster::run_cluster(&parsed);
     std::process::exit(code);
 }
 

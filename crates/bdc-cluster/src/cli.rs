@@ -169,10 +169,11 @@ fn resolve_serve_bin(args: &ClusterArgs) -> Result<PathBuf, String> {
     }
 }
 
-/// Runs the fleet until `stop()` reports true (typically
-/// [`bdc_serve::signalled`] wired to SIGTERM/SIGINT). Returns a process
-/// exit code.
-pub fn run_cluster(args: &ClusterArgs, stop: &dyn Fn() -> bool) -> i32 {
+/// Runs the fleet until SIGTERM/SIGINT, blocking on
+/// [`bdc_serve::server::wait_for_signal`] (the caller installs the
+/// handlers with [`bdc_serve::install_signal_handlers`]). Returns a
+/// process exit code.
+pub fn run_cluster(args: &ClusterArgs) -> i32 {
     let serve_bin = match resolve_serve_bin(args) {
         Ok(bin) => bin,
         Err(e) => {
@@ -226,9 +227,7 @@ pub fn run_cluster(args: &ClusterArgs, stop: &dyn Fn() -> bool) -> i32 {
         args.ring_seed,
         args.pid_file.display()
     );
-    while !stop() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    bdc_serve::server::wait_for_signal();
     println!("bdc cluster: draining");
     router.shutdown();
     supervisor.shutdown();

@@ -15,13 +15,13 @@
 //! once a worker survives [`STABLE_UPTIME`], so a long-lived shard that
 //! eventually crashes restarts fast, while a crash-looping one backs off.
 //!
-//! **Teardown:** SIGTERM to every worker (the daemon's graceful-drain
-//! path), a bounded wait, then SIGKILL for stragglers.
+//! **Teardown:** stop wakes the monitor at once, then SIGTERM to every
+//! worker (the daemon's graceful-drain path), a blocking wait for each,
+//! and SIGKILL for stragglers still running after [`DRAIN_WAIT`].
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bdc_exec::faults;
@@ -34,6 +34,34 @@ const DRAIN_WAIT: Duration = Duration::from_secs(10);
 
 /// Monitor poll interval.
 const POLL: Duration = Duration::from_millis(200);
+
+/// A one-way flag whose setting wakes every [`Flag::sleep`] at once.
+#[derive(Default)]
+struct Flag {
+    set: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Flag {
+    fn set(&self) {
+        *self.set.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        self.wake.notify_all();
+    }
+
+    fn is_set(&self) -> bool {
+        *self.set.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Sleeps for `timeout` or until the flag is set; returns whether it is.
+    fn sleep(&self, timeout: Duration) -> bool {
+        let set = self.set.lock().unwrap_or_else(|p| p.into_inner());
+        let (set, _) = self
+            .wake
+            .wait_timeout_while(set, timeout, |set| !*set)
+            .unwrap_or_else(|p| p.into_inner());
+        *set
+    }
+}
 
 /// Fleet launch parameters.
 #[derive(Debug, Clone)]
@@ -68,7 +96,7 @@ struct Slot {
 pub struct Supervisor {
     cfg: SupervisorConfig,
     slots: Arc<Mutex<Vec<Slot>>>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Flag>,
     monitor: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -96,7 +124,7 @@ pub fn start_supervisor(cfg: SupervisorConfig) -> std::io::Result<Supervisor> {
         });
     }
     let slots = Arc::new(Mutex::new(slots));
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::default());
     write_pid_file(&cfg, &slots.lock().unwrap_or_else(|p| p.into_inner()));
 
     let monitor = {
@@ -135,10 +163,9 @@ fn spawn_worker(cfg: &SupervisorConfig, shard: usize) -> std::io::Result<Child> 
 }
 
 /// The monitor: restart crashed workers with seeded backoff until the
-/// fleet is stopped.
-fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(POLL);
+/// fleet is stopped. Stopping wakes it from its poll and backoff sleeps.
+fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &Flag) {
+    while !stop.sleep(POLL) {
         let mut restarted = false;
         {
             let mut guard = slots.lock().unwrap_or_else(|p| p.into_inner());
@@ -153,7 +180,7 @@ fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &AtomicB
                     }
                     continue;
                 }
-                if stop.load(Ordering::SeqCst) {
+                if stop.is_set() {
                     return;
                 }
                 slot.child = None;
@@ -163,7 +190,9 @@ fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &AtomicB
                     "bdc-cluster: shard {} exited; restart attempt {} in {:?}",
                     slot.shard, slot.attempt, delay
                 );
-                std::thread::sleep(delay);
+                if stop.sleep(delay) {
+                    return;
+                }
                 match spawn_worker(cfg, slot.shard) {
                     Ok(child) => {
                         slot.child = Some(child);
@@ -359,39 +388,43 @@ impl Supervisor {
     }
 
     /// Graceful teardown: SIGTERM every worker (triggering the daemon's
-    /// drain path), wait up to [`DRAIN_WAIT`], then SIGKILL stragglers.
+    /// drain path) and reap each with a blocking wait; a watchdog SIGKILLs
+    /// whatever is still running after [`DRAIN_WAIT`].
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.set();
         if let Some(monitor) = self.monitor.take() {
             let _ = monitor.join();
         }
-        let mut guard = self.slots.lock().unwrap_or_else(|p| p.into_inner());
-        for slot in guard.iter() {
-            if let Some(child) = &slot.child {
-                send_signal(child.id(), 15); // SIGTERM
-            }
+        let mut children: Vec<Child> = {
+            let mut guard = self.slots.lock().unwrap_or_else(|p| p.into_inner());
+            guard.iter_mut().filter_map(|s| s.child.take()).collect()
+        };
+        for child in &children {
+            send_signal(child.id(), 15); // SIGTERM
         }
-        // bdc-lint: allow(D002, drain-deadline tracking, not artifact bytes)
-        let t0 = Instant::now();
-        for slot in guard.iter_mut() {
-            let Some(child) = &mut slot.child else {
-                continue;
-            };
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if t0.elapsed() < DRAIN_WAIT => {
-                        std::thread::sleep(Duration::from_millis(50))
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
+        // Pids not yet reaped. Each leaves the list as soon as its wait
+        // returns, so the watchdog never signals a pid long after it was
+        // freed for reuse.
+        let unreaped = Mutex::new(children.iter().map(Child::id).collect::<Vec<u32>>());
+        let reaped = Flag::default();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                if !reaped.sleep(DRAIN_WAIT) {
+                    for &pid in unreaped.lock().unwrap_or_else(|p| p.into_inner()).iter() {
+                        send_signal(pid, 9); // SIGKILL
                     }
                 }
+            });
+            for child in &mut children {
+                let _ = child.wait();
+                let pid = child.id();
+                unreaped
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .retain(|&p| p != pid);
             }
-            slot.child = None;
-        }
+            reaped.set();
+        });
     }
 }
 
@@ -469,5 +502,44 @@ mod tests {
         std::fs::write(&path, "{torn wri").unwrap();
         assert!(check_stale_pid_file(&path).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_wakes_the_monitor_and_reaps_at_once() {
+        use std::os::unix::fs::PermissionsExt;
+        // A stand-in worker that ignores its flags and dies on SIGTERM.
+        let dir = std::env::temp_dir().join(format!("bdc-drain-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bin = dir.join("worker.sh");
+        std::fs::write(&bin, "#!/bin/sh\nexec sleep 30\n").unwrap();
+        std::fs::set_permissions(&bin, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let sup = start_supervisor(SupervisorConfig {
+            shards: 2,
+            base_port: 1,
+            ring_seed: 0,
+            serve_bin: bin,
+            cache_root: dir.clone(),
+            passthrough: Vec::new(),
+            pid_file: PathBuf::new(),
+        })
+        .expect("spawn stand-in workers");
+        let pids: Vec<u32> = sup.pids().into_iter().flatten().collect();
+        assert_eq!(pids.len(), 2);
+        // Stop inside the monitor's first 200 ms poll sleep: a monitor that
+        // sleeps out its poll, or a drain that polls each worker in 50 ms
+        // steps, takes well over 150 ms here.
+        std::thread::sleep(Duration::from_millis(30));
+        let t0 = Instant::now();
+        sup.shutdown();
+        let took = t0.elapsed();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(took < Duration::from_millis(150), "shutdown took {took:?}");
+        for pid in pids {
+            assert!(
+                live_process_command(u64::from(pid)).is_none(),
+                "{pid} lives"
+            );
+        }
     }
 }

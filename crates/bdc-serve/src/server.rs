@@ -10,8 +10,9 @@
 //! runs the same [`AcceptLoop`] with its own connection handler.
 //!
 //! Shutdown: `SIGTERM`/`SIGINT` set a flag and write a self-pipe (see
-//! [`install_signal_handlers`]) that wakes
-//! [`ServerHandle::run_until_signalled`] at once; tests and the bench
+//! [`install_signal_handlers`]) that wakes [`wait_for_signal`] — and so
+//! [`ServerHandle::run_until_signalled`] and `bdc cluster` — at once;
+//! tests and the bench
 //! harness call [`ServerHandle::shutdown`] directly. Either way the
 //! acceptor is woken by one connection to the listener's own address and
 //! stops accepting, the read side of every open connection is shut so an
@@ -159,7 +160,8 @@ pub fn signalled() -> bool {
 
 /// Blocks until a shutdown signal has been observed, reading the
 /// self-pipe between checks of the flag (polling where there is none).
-fn wait_for_signal() {
+/// Signals only wake it once [`install_signal_handlers`] has run.
+pub fn wait_for_signal() {
     while !signalled() {
         #[cfg(unix)]
         if let Some((rx, _)) = wake_pipe() {
