@@ -358,13 +358,7 @@ pub fn write_cell_text(cell: &Cell) -> String {
 /// trailing junk — returns `None` (a cache miss), never a panic: the
 /// stage cache treats corrupt artifacts as absent and recomputes.
 pub fn parse_cell_text(text: &str) -> Option<Cell> {
-    let mut r = RecordReader::new(text, "bdccell v1")?;
-    let kind = CellKind::from_name(r.line("kind")?.name()?)?;
-    let area = r.line("area")?.f64()?;
-    let input_cap = r.line("input_cap")?.f64()?;
-    let leakage_w = r.line("leakage_w")?.f64()?;
-    let switching_energy = r.line("switching_energy")?.f64()?;
-    let mut table = |label: &str| -> Option<NldmTable> {
+    fn table(r: &mut RecordReader<'_>, label: &str) -> Option<NldmTable> {
         (r.line("table")?.name()? == label).then_some(())?;
         let (n_slews, n_loads): (usize, usize) = (r.int()?, r.int()?);
         let slews = r.line("slews")?.f64s(n_slews)?;
@@ -381,21 +375,22 @@ pub fn parse_cell_text(text: &str) -> Option<Cell> {
             .map(|_| r.line("row")?.f64s(n_loads))
             .collect::<Option<Vec<_>>>()?;
         Some(NldmTable::new(slews, loads, values))
+    }
+    let mut r = RecordReader::new(text, "bdccell v1")?;
+    // Fields are read in the order written, which is the record's order.
+    let cell = Cell {
+        kind: CellKind::from_name(r.line("kind")?.name()?)?,
+        area: r.line("area")?.f64()?,
+        input_cap: r.line("input_cap")?.f64()?,
+        leakage_w: r.line("leakage_w")?.f64()?,
+        switching_energy: r.line("switching_energy")?.f64()?,
+        timing: GateTiming {
+            delay_rise: table(&mut r, "delay_rise")?,
+            delay_fall: table(&mut r, "delay_fall")?,
+            out_slew: table(&mut r, "out_slew")?,
+        },
     };
-    let timing = GateTiming {
-        delay_rise: table("delay_rise")?,
-        delay_fall: table("delay_fall")?,
-        out_slew: table("out_slew")?,
-    };
-    r.finish()?;
-    Some(Cell {
-        kind,
-        area,
-        input_cap,
-        leakage_w,
-        switching_energy,
-        timing,
-    })
+    r.finish().and(Some(cell))
 }
 
 /// Returns a load-independent summary row for reports: name, area, input

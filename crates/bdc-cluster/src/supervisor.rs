@@ -21,7 +21,8 @@
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bdc_exec::faults;
@@ -35,32 +36,10 @@ const DRAIN_WAIT: Duration = Duration::from_secs(10);
 /// Monitor poll interval.
 const POLL: Duration = Duration::from_millis(200);
 
-/// A one-way flag whose setting wakes every [`Flag::sleep`] at once.
-#[derive(Default)]
-struct Flag {
-    set: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl Flag {
-    fn set(&self) {
-        *self.set.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        self.wake.notify_all();
-    }
-
-    fn is_set(&self) -> bool {
-        *self.set.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Sleeps for `timeout` or until the flag is set; returns whether it is.
-    fn sleep(&self, timeout: Duration) -> bool {
-        let set = self.set.lock().unwrap_or_else(|p| p.into_inner());
-        let (set, _) = self
-            .wake
-            .wait_timeout_while(set, timeout, |set| !*set)
-            .unwrap_or_else(|p| p.into_inner());
-        *set
-    }
+/// Waits up to `timeout` on a stop channel and reports whether it has
+/// been stopped: dropping the sender ends every wait on it at once.
+fn stopped(stop: &Receiver<()>, timeout: Duration) -> bool {
+    !matches!(stop.recv_timeout(timeout), Err(RecvTimeoutError::Timeout))
 }
 
 /// Fleet launch parameters.
@@ -96,8 +75,8 @@ struct Slot {
 pub struct Supervisor {
     cfg: SupervisorConfig,
     slots: Arc<Mutex<Vec<Slot>>>,
-    stop: Arc<Flag>,
-    monitor: Option<std::thread::JoinHandle<()>>,
+    stop: Sender<()>,
+    monitor: std::thread::JoinHandle<()>,
 }
 
 /// The loopback address shard `i` listens on.
@@ -124,22 +103,21 @@ pub fn start_supervisor(cfg: SupervisorConfig) -> std::io::Result<Supervisor> {
         });
     }
     let slots = Arc::new(Mutex::new(slots));
-    let stop = Arc::new(Flag::default());
+    let (stop, stop_rx) = channel();
     write_pid_file(&cfg, &slots.lock().unwrap_or_else(|p| p.into_inner()));
 
     let monitor = {
         let cfg = cfg.clone();
         let slots = Arc::clone(&slots);
-        let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name("bdc-cluster-monitor".into())
-            .spawn(move || monitor_loop(&cfg, &slots, &stop))?
+            .spawn(move || monitor_loop(&cfg, &slots, &stop_rx))?
     };
     Ok(Supervisor {
         cfg,
         slots,
         stop,
-        monitor: Some(monitor),
+        monitor,
     })
 }
 
@@ -164,8 +142,8 @@ fn spawn_worker(cfg: &SupervisorConfig, shard: usize) -> std::io::Result<Child> 
 
 /// The monitor: restart crashed workers with seeded backoff until the
 /// fleet is stopped. Stopping wakes it from its poll and backoff sleeps.
-fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &Flag) {
-    while !stop.sleep(POLL) {
+fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &Receiver<()>) {
+    while !stopped(stop, POLL) {
         let mut restarted = false;
         {
             let mut guard = slots.lock().unwrap_or_else(|p| p.into_inner());
@@ -180,9 +158,6 @@ fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &Flag) {
                     }
                     continue;
                 }
-                if stop.is_set() {
-                    return;
-                }
                 slot.child = None;
                 slot.attempt += 1;
                 let delay = faults::backoff_delay(&format!("shard-{}", slot.shard), slot.attempt);
@@ -190,7 +165,7 @@ fn monitor_loop(cfg: &SupervisorConfig, slots: &Mutex<Vec<Slot>>, stop: &Flag) {
                     "bdc-cluster: shard {} exited; restart attempt {} in {:?}",
                     slot.shard, slot.attempt, delay
                 );
-                if stop.sleep(delay) {
+                if stopped(stop, delay) {
                     return;
                 }
                 match spawn_worker(cfg, slot.shard) {
@@ -390,11 +365,9 @@ impl Supervisor {
     /// Graceful teardown: SIGTERM every worker (triggering the daemon's
     /// drain path) and reap each with a blocking wait; a watchdog SIGKILLs
     /// whatever is still running after [`DRAIN_WAIT`].
-    pub fn shutdown(mut self) {
-        self.stop.set();
-        if let Some(monitor) = self.monitor.take() {
-            let _ = monitor.join();
-        }
+    pub fn shutdown(self) {
+        drop(self.stop);
+        let _ = self.monitor.join();
         let mut children: Vec<Child> = {
             let mut guard = self.slots.lock().unwrap_or_else(|p| p.into_inner());
             guard.iter_mut().filter_map(|s| s.child.take()).collect()
@@ -405,11 +378,11 @@ impl Supervisor {
         // Pids not yet reaped. Each leaves the list as soon as its wait
         // returns, so the watchdog never signals a pid long after it was
         // freed for reuse.
-        let unreaped = Mutex::new(children.iter().map(Child::id).collect::<Vec<u32>>());
-        let reaped = Flag::default();
+        let unreaped = &Mutex::new(children.iter().map(Child::id).collect::<Vec<u32>>());
+        let (reaped, reaped_rx) = channel::<()>();
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                if !reaped.sleep(DRAIN_WAIT) {
+            scope.spawn(move || {
+                if !stopped(&reaped_rx, DRAIN_WAIT) {
                     for &pid in unreaped.lock().unwrap_or_else(|p| p.into_inner()).iter() {
                         send_signal(pid, 9); // SIGKILL
                     }
@@ -423,7 +396,7 @@ impl Supervisor {
                     .unwrap_or_else(|p| p.into_inner())
                     .retain(|&p| p != pid);
             }
-            reaped.set();
+            drop(reaped);
         });
     }
 }

@@ -5,7 +5,7 @@
 
 use bdc_cells::{
     library::cell_summary, measure_inverter_dc, organic_inverter, organic_library_point, CellKind,
-    DcSummary, LogicKind, OrganicStyle, ParamOverlay,
+    DcSummary, OrganicStyle,
 };
 use bdc_circuit::CircuitError;
 use bdc_device::{
@@ -22,7 +22,7 @@ use crate::flow::{
     alu_cluster, measure_ipc_cached, performance, pipeline_alu_cached, split_chain,
     synthesize_core_cached, SynthesizedCore,
 };
-use crate::process::{Process, TechKit};
+use crate::process::TechKit;
 
 /// Simulation budget for IPC measurements.
 #[derive(Debug, Clone, Copy)]
@@ -261,23 +261,6 @@ pub fn table_mapping_preference(kit: &TechKit) -> (bool, bool) {
         bdc_synth::map::prefers_decomposition(&kit.lib, CellKind::Nand3),
         bdc_synth::map::prefers_decomposition(&kit.lib, CellKind::Nor3),
     )
-}
-
-/// DC check rows comparing organic pseudo-E and silicon CMOS inverters at
-/// their library operating points (used by the quickstart example).
-///
-/// # Errors
-/// Propagates simulator failures.
-pub fn table_inverter_dc() -> Result<(DcSummary, DcSummary), CircuitError> {
-    let (tech, device, sizing) = organic_library_point();
-    let org = organic_inverter(device, OrganicStyle::PseudoE, sizing, tech.vdd, tech.vss);
-    let si = Process::Silicon
-        .tech()
-        .gate(LogicKind::Inv, &ParamOverlay::default());
-    Ok((
-        measure_inverter_dc(&org, 121)?,
-        measure_inverter_dc(&si, 121)?,
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -566,8 +549,7 @@ pub fn table_baseline_frequency(kit: &TechKit) -> SynthesizedCore {
 /// The canonical experiment drivers this module exports — one name per
 /// public driver that produces (part of) a figure or table. The registry
 /// completeness test asserts every name here is claimed by exactly one
-/// registered node. A helper that is not a figure/table driver
-/// ([`table_inverter_dc`]) is deliberately absent.
+/// registered node.
 pub fn driver_names() -> &'static [&'static str] {
     &[
         "fig03_transfer",
@@ -590,6 +572,7 @@ pub fn driver_names() -> &'static [&'static str] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::Process;
 
     #[test]
     fn fig03_reports_paper_metrics() {

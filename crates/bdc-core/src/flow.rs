@@ -339,26 +339,20 @@ fn write_pipeline_text(r: &PipelineResult) -> String {
 fn parse_pipeline_text(text: &str) -> Option<PipelineResult> {
     let mut r = RecordReader::new(text, "pipecut v1")?;
     let stages = r.line("stages")?.int()?;
-    let period = r.line("period")?.f64()?;
-    let frequency = r.line("frequency")?.f64()?;
-    let area_um2 = r.line("area_um2")?.f64()?;
-    let registers = r.line("registers")?.int()?;
-    let seq_overhead = r.line("seq_overhead")?.f64()?;
-    let wire_overhead = r.line("wire_overhead")?.f64()?;
-    let stage_logic = (0..stages)
-        .map(|_| r.line("logic")?.f64())
-        .collect::<Option<_>>()?;
-    r.finish()?;
-    Some(PipelineResult {
+    // Fields are read in the order written, which is the record's order.
+    let cut = PipelineResult {
         stages,
-        period,
-        frequency,
-        area_um2,
-        registers,
-        stage_logic,
-        seq_overhead,
-        wire_overhead,
-    })
+        period: r.line("period")?.f64()?,
+        frequency: r.line("frequency")?.f64()?,
+        area_um2: r.line("area_um2")?.f64()?,
+        registers: r.line("registers")?.int()?,
+        seq_overhead: r.line("seq_overhead")?.f64()?,
+        wire_overhead: r.line("wire_overhead")?.f64()?,
+        stage_logic: (0..stages)
+            .map(|_| r.line("logic")?.f64())
+            .collect::<Option<_>>()?,
+    };
+    r.finish().and(Some(cut))
 }
 
 /// Encodes a synthesized core as a `synthcore v1` store record: every
@@ -387,34 +381,28 @@ fn write_synth_text(core: &SynthesizedCore) -> String {
 /// miss (the entry is then recomputed and rewritten).
 fn parse_synth_text(text: &str) -> Option<SynthesizedCore> {
     let mut r = RecordReader::new(text, "synthcore v1")?;
-    let period = r.line("period")?.f64()?;
-    let frequency = r.line("frequency")?.f64()?;
-    let area_um2 = r.line("area_um2")?.f64()?;
-    let seq_overhead = r.line("seq_overhead")?.f64()?;
-    let wire_overhead = r.line("wire_overhead")?.f64()?;
-    let critical = StageKind::from_name(r.line("critical")?.name()?)?;
-    let stages = StageKind::all()
-        .into_iter()
-        .map(|kind| {
-            (r.line("stage")?.name()? == kind.name()).then_some(())?;
-            Some(StageTiming {
-                kind,
-                substages: r.int()?,
-                logic_delay: r.f64()?,
-                area_um2: r.f64()?,
+    // Fields are read in the order written, which is the record's order.
+    let core = SynthesizedCore {
+        period: r.line("period")?.f64()?,
+        frequency: r.line("frequency")?.f64()?,
+        area_um2: r.line("area_um2")?.f64()?,
+        seq_overhead: r.line("seq_overhead")?.f64()?,
+        wire_overhead: r.line("wire_overhead")?.f64()?,
+        critical: StageKind::from_name(r.line("critical")?.name()?)?,
+        stages: StageKind::all()
+            .into_iter()
+            .map(|kind| {
+                (r.line("stage")?.name()? == kind.name()).then_some(())?;
+                Some(StageTiming {
+                    kind,
+                    substages: r.int()?,
+                    logic_delay: r.f64()?,
+                    area_um2: r.f64()?,
+                })
             })
-        })
-        .collect::<Option<_>>()?;
-    r.finish()?;
-    Some(SynthesizedCore {
-        period,
-        frequency,
-        area_um2,
-        stages,
-        critical,
-        seq_overhead,
-        wire_overhead,
-    })
+            .collect::<Option<_>>()?,
+    };
+    r.finish().and(Some(core))
 }
 
 /// Splits the currently critical (splittable) stage once — the paper's
@@ -519,8 +507,7 @@ fn parse_ipc_text(text: &str) -> Option<SimStats> {
         loads: r.line("loads")?.int()?,
         stores: r.line("stores")?.int()?,
     };
-    r.finish()?;
-    Some(stats)
+    r.finish().and(Some(stats))
 }
 
 /// `performance = IPC × frequency` (the paper's §5.3/§5.4 metric), in

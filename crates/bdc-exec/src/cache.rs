@@ -282,21 +282,6 @@ fn peer_hooks() -> Option<Arc<PeerHooks>> {
     PEER_HOOKS.lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
-/// Frames a payload with the on-disk/wire `bdc-artifact-v1` header — the
-/// exact bytes the cache stores and the peer-fetch protocol ships.
-pub fn frame_artifact(text: &str) -> String {
-    frame(text)
-}
-
-/// Parses and verifies a framed artifact, returning the payload.
-///
-/// # Errors
-/// Names the first check that failed (version, framing, length,
-/// checksum); peer endpoints reject the frame with this diagnostic.
-pub fn unframe_artifact(raw: &str) -> Result<&str, String> {
-    unframe(raw)
-}
-
 /// Artifacts quarantined by this process, by final path — lets `store`
 /// distinguish a rebuild (count it) from a first build.
 static QUARANTINED_PATHS: Mutex<Option<BTreeSet<PathBuf>>> = Mutex::new(None);
@@ -474,7 +459,7 @@ impl ArtifactCache {
         }
         match std::str::from_utf8(&bytes)
             .map_err(|_| "not UTF-8".to_string())
-            .and_then(unframe)
+            .and_then(unframe_artifact)
         {
             Ok(payload) => Some(payload.to_string()),
             Err(_) => {
@@ -497,7 +482,7 @@ impl ArtifactCache {
                 faults::note_peer_miss();
                 None
             }
-            PeerFetch::Framed(raw) => match unframe(&raw) {
+            PeerFetch::Framed(raw) => match unframe_artifact(&raw) {
                 Ok(payload) => {
                     let payload = payload.to_string();
                     self.store_replica(name, key, &payload);
@@ -623,7 +608,7 @@ impl ArtifactCache {
             return false;
         }
         let final_path = self.path_for(name, key);
-        let framed = frame(text);
+        let framed = frame_artifact(text);
         let tmp = self
             .root
             .join(format!(".tmp-{name}-{key:016x}-{}", std::process::id()));
@@ -738,8 +723,9 @@ fn pid_is_alive(_pid: u32) -> bool {
     false
 }
 
-/// Frames a payload with the `bdc-artifact-v1 <fnv> <len>` header.
-fn frame(text: &str) -> String {
+/// Frames a payload with the `bdc-artifact-v1 <fnv> <len>` header — the
+/// exact bytes the cache stores and the peer-fetch protocol ships.
+pub fn frame_artifact(text: &str) -> String {
     format!("{MAGIC} {:016x} {}\n{text}", fnv1a(&[text]), text.len())
 }
 
@@ -747,8 +733,9 @@ fn frame(text: &str) -> String {
 ///
 /// # Errors
 /// Names the first check that failed (version, framing, length,
-/// checksum) — the caller quarantines on any of them.
-fn unframe(raw: &str) -> Result<&str, String> {
+/// checksum): the store quarantines on any of them, and peer endpoints
+/// reject the frame with this diagnostic.
+pub fn unframe_artifact(raw: &str) -> Result<&str, String> {
     let (header, payload) = raw
         .split_once('\n')
         .ok_or_else(|| "missing header line".to_string())?;

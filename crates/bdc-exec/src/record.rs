@@ -1,39 +1,11 @@
-//! The one text codec for bit-exact store records.
-//!
-//! A record is a version header line, then `name token…` lines, each
-//! ending in `\n`. An `f64` is written as the 16 lowercase hex digits of
-//! its bit pattern, so a decoded value is bit-identical to the one
-//! encoded; integers are decimal and names are written verbatim (they
-//! must not contain a space or a newline).
-//!
-//! A decoder reads the lines back in the order the encoder wrote them,
-//! naming each one. Any mismatch — a wrong header, a line with another
-//! name, a missing, extra or malformed token, too few or too many
-//! repeated lines, a trailing line or a missing final newline — makes
-//! the decode `None`, which [`cached`](crate::cached) treats as a miss.
-//!
-//! ```
-//! use bdc_exec::{RecordReader, RecordWriter};
-//!
-//! let mut w = RecordWriter::new("point v1");
-//! w.line("xy").f64(0.1).f64(-2.5);
-//! w.line("label").name("origin").int(3usize);
-//! let text = w.finish();
-//! assert_eq!(
-//!     text,
-//!     "point v1\nxy 3fb999999999999a c004000000000000\nlabel origin 3\n"
-//! );
-//!
-//! let decode = |text: &str| -> Option<(f64, f64, String, usize)> {
-//!     let mut r = RecordReader::new(text, "point v1")?;
-//!     let (x, y) = (r.line("xy")?.f64()?, r.f64()?);
-//!     let (label, n) = (r.line("label")?.name()?.to_string(), r.int()?);
-//!     r.finish()?;
-//!     Some((x, y, label, n))
-//! };
-//! assert_eq!(decode(&text), Some((0.1, -2.5, "origin".into(), 3)));
-//! assert_eq!(decode(&format!("{text}label again 4\n")), None);
-//! ```
+//! The one text codec for bit-exact store records: a version header
+//! line, then `name token…` lines. An `f64` token is the 16 hex digits of
+//! its bit pattern, so it decodes bit-identically; integers are decimal
+//! and names verbatim (no spaces or newlines). A decoder names each line
+//! in the order the encoder wrote it, and any mismatch — wrong header or
+//! line name, a missing, extra or malformed token, a wrong count of
+//! repeated lines, a trailing line — decodes to `None`, which
+//! [`cached`](crate::cached) treats as a miss.
 
 use std::fmt::{Display, Write as _};
 use std::str::{FromStr, Split};
@@ -47,23 +19,20 @@ pub struct RecordWriter {
 impl RecordWriter {
     /// Starts a record with its version header.
     pub fn new(header: &str) -> Self {
-        Self {
-            out: header.to_string(),
-        }
+        Self { out: header.into() }
     }
 
     /// Starts the line `name`; the token calls that follow append to it.
     pub fn line(&mut self, name: &str) -> &mut Self {
         self.out.push('\n');
-        self.name(name)
+        self.out.push_str(name);
+        self
     }
 
     /// Appends a name token, verbatim.
     pub fn name(&mut self, name: &str) -> &mut Self {
         debug_assert!(!name.contains([' ', '\n']), "record name {name:?}");
-        if !self.out.ends_with('\n') {
-            self.out.push(' ');
-        }
+        self.out.push(' ');
         self.out.push_str(name);
         self
     }
