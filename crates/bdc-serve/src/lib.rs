@@ -47,4 +47,4 @@ pub mod server;
 pub use engine::{Engine, EngineConfig, Submission};
 pub use http::{Request, Response};
 pub use metrics::{Endpoint, Registry};
-pub use server::{install_signal_handlers, signalled, start, ServeConfig, ServerHandle};
+pub use server::{install_signal_handlers, start, ServeConfig, ServerHandle};

@@ -12,14 +12,13 @@
 //! Shutdown: `SIGTERM`/`SIGINT` set a flag and write a self-pipe (see
 //! [`install_signal_handlers`]) that wakes [`wait_for_signal`] — and so
 //! [`ServerHandle::run_until_signalled`] and `bdc cluster` — at once;
-//! tests and the bench
-//! harness call [`ServerHandle::shutdown`] directly. Either way the
-//! acceptor is woken by one connection to the listener's own address and
-//! stops accepting, the read side of every open connection is shut so an
-//! idle keep-alive client cannot hold a worker, workers answer the request
-//! they have already read, the engine drains its queue, and every thread
-//! is joined before the handle returns — no request is abandoned
-//! mid-computation.
+//! tests and the bench harness call [`ServerHandle::shutdown`] directly.
+//! Either way the acceptor is woken by one connection to the listener's
+//! own address and stops accepting, the read side of every open
+//! connection is shut so an idle keep-alive client cannot hold a worker,
+//! workers answer the request they have already read, the engine drains
+//! its queue, and every thread is joined before the handle returns — no
+//! request is abandoned mid-computation.
 
 use std::io::{BufRead, BufReader};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -154,7 +153,7 @@ pub fn install_signal_handlers() {
 pub fn install_signal_handlers() {}
 
 /// Whether a shutdown signal has been observed.
-pub fn signalled() -> bool {
+fn signalled() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
 
