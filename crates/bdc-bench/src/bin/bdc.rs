@@ -35,10 +35,9 @@ fn usage() -> ! {
          [--max-retries N] <id>...\n  bdc sweep --param NAME=START:END:COUNT [--quick] \
          [<id>...]\n  bdc verify [--audit-deps] [--quick]\n  \
          bdc lint --workspace\n  \
-         bdc cluster [--shards N] [--addr HOST:PORT] [--base-port P] [--ring-seed S] \
-         [--vnodes V]\n              [--proxy-retries R] [--serve-bin PATH] [--cache-root DIR] \
-         [--pid-file PATH]\n              [--queue-cap N] [--deadline-ms MS] [--max-retries N] \
-         [--warm]\n\
+         bdc cluster [--shards N] [--addr HOST:PORT] [--base-port P] [--ring-seed S]\n              \
+         [--serve-bin PATH] [--cache-root DIR] [--pid-file PATH]\n              \
+         [--queue-cap N] [--deadline-ms MS] [--max-retries N] [--warm]\n\
          \nids: see `bdc list`; sweep params: organic.vt (physical volts)"
     );
     std::process::exit(2);

@@ -166,7 +166,6 @@ fn cluster_burst() -> (usize, usize, usize, String) {
         addr: "127.0.0.1:0".into(),
         shard_addrs: addrs,
         ring_seed: CHAOS_SEED,
-        ..RouterConfig::default()
     }) {
         Ok(r) => r,
         Err(e) => {

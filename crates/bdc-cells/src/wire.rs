@@ -76,12 +76,6 @@ impl WireModel {
             None => elmore,
         }
     }
-
-    /// Fraction of a `gate_delay` consumed by a wire of `length` driven with
-    /// `driver_res` — a diagnostic used in tests and reports.
-    pub fn relative_cost(&self, length: f64, driver_res: f64, gate_delay: f64) -> f64 {
-        self.delay(length, driver_res) / gate_delay
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +113,7 @@ mod tests {
     fn organic_wire_negligible_vs_gate() {
         let w = WireModel::organic();
         // 1 cm wire driven by a 1 MΩ organic gate vs a 100 µs gate delay.
-        let rel = w.relative_cost(1.0e-2, 1.0e6, 100.0e-6);
+        let rel = w.delay(1.0e-2, 1.0e6) / 100.0e-6;
         assert!(rel < 0.05, "organic relative wire cost {rel}");
     }
 
@@ -127,7 +121,7 @@ mod tests {
     fn silicon_wire_significant_vs_gate() {
         let w = WireModel::silicon_45nm();
         // 100 µm wire driven by a 3 kΩ gate vs a 15 ps FO4.
-        let rel = w.relative_cost(100.0e-6, 3.0e3, 15.0e-12);
+        let rel = w.delay(100.0e-6, 3.0e3) / 15.0e-12;
         assert!(rel > 0.3, "silicon relative wire cost {rel}");
     }
 

@@ -2,7 +2,7 @@
 
 use crate::dc::{DcSolver, Operating};
 use crate::error::CircuitError;
-use crate::netlist::{Circuit, NodeId};
+use crate::netlist::Circuit;
 
 /// One sweep point: the swept source value and the full operating point.
 #[derive(Debug, Clone)]
@@ -49,22 +49,6 @@ pub fn dc_sweep(
     Ok(out)
 }
 
-/// Extracts `(input, v(node))` pairs from a sweep result.
-pub fn sweep_voltage(points: &[SweepPoint], node: NodeId) -> Vec<(f64, f64)> {
-    points
-        .iter()
-        .map(|p| (p.input, p.op.voltage(node)))
-        .collect()
-}
-
-/// Extracts `(input, i_source(idx))` pairs from a sweep result.
-pub fn sweep_current(points: &[SweepPoint], src_idx: usize) -> Vec<(f64, f64)> {
-    points
-        .iter()
-        .map(|p| (p.input, p.op.source_current(src_idx)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,9 +67,7 @@ mod tests {
         for p in &pts {
             assert!((p.op.voltage(m) - p.input / 2.0).abs() < 1e-8);
         }
-        let curve = sweep_voltage(&pts, m);
-        assert_eq!(curve.len(), 11);
-        assert!((curve[10].1 - 5.0).abs() < 1e-8);
+        assert!((pts[10].op.voltage(m) - 5.0).abs() < 1e-8);
     }
 
     #[test]
@@ -95,9 +77,8 @@ mod tests {
         let s = c.vsource(a, Circuit::GND, 0.0);
         c.resistor(a, Circuit::GND, 100.0);
         let pts = dc_sweep(&c, s, 0.0, 1.0, 3).unwrap();
-        let i = sweep_current(&pts, s);
         // Source current at +1 V into 100 Ω is -10 mA by our convention
         // (current flows out of the + terminal through the external circuit).
-        assert!((i[2].1.abs() - 0.01).abs() < 1e-9);
+        assert!((pts[2].op.source_current(s).abs() - 0.01).abs() < 1e-9);
     }
 }

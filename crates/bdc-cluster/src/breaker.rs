@@ -2,7 +2,7 @@
 //!
 //! Each shard gets one [`Breaker`] tracking a rolling window of proxy
 //! attempt outcomes (transport errors, retryable statuses, and attempts
-//! slower than the configured latency ceiling all count as failures).
+//! slower than the `SLOW_MS` latency ceiling all count as failures).
 //! When the failure fraction over a full-enough window crosses the
 //! threshold the breaker **opens**: the router stops offering that shard
 //! requests and routes straight to the next ring replica, so a dying
@@ -21,37 +21,25 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Breaker tuning knobs (shared by every shard's breaker).
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Rolling outcome-window length.
-    pub window: usize,
-    /// Open when `failures / window_len >= failure_threshold` (with at
-    /// least `min_samples` outcomes recorded).
-    pub failure_threshold: f64,
-    /// Outcomes required before the breaker may open — a single cold-start
-    /// failure must not blacklist a shard.
-    pub min_samples: usize,
-    /// Bypassed routing decisions while open before the breaker half-opens
-    /// and admits a probe request.
-    pub probe_after: u64,
-    /// Attempt latency (ms) counted as a failure even when the response
-    /// itself was fine — a shard answering at crawl speed is as routed
-    /// around as a dead one.
-    pub slow_ms: u64,
-}
+/// Rolling outcome-window length.
+const WINDOW: usize = 16;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            window: 16,
-            failure_threshold: 0.5,
-            min_samples: 8,
-            probe_after: 8,
-            slow_ms: 30_000,
-        }
-    }
-}
+/// Open when `failures / window_len >= FAILURE_THRESHOLD` (with at least
+/// [`MIN_SAMPLES`] outcomes recorded).
+const FAILURE_THRESHOLD: f64 = 0.5;
+
+/// Outcomes required before a breaker may open — a single cold-start
+/// failure must not blacklist a shard.
+pub const MIN_SAMPLES: usize = 8;
+
+/// Bypassed routing decisions while open before the breaker half-opens and
+/// admits a probe request.
+const PROBE_AFTER: u64 = 8;
+
+/// Attempt latency (ms) counted as a failure even when the response itself
+/// was fine — a shard answering at crawl speed is as routed around as a
+/// dead one.
+const SLOW_MS: u64 = 30_000;
 
 /// What the router should do with a candidate shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,18 +52,17 @@ pub enum BreakerDecision {
     Skip,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum State {
+    #[default]
     Closed,
     /// `bypassed` counts routing decisions skipped since opening.
-    Open {
-        bypassed: u64,
-    },
+    Open { bypassed: u64 },
     /// One probe request is in flight; its outcome decides.
     HalfOpen,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     state: State,
     /// Rolling outcomes, `true` = failure, newest at the back.
@@ -86,10 +73,9 @@ struct Inner {
     opened_total: u64,
 }
 
-/// One shard's circuit breaker.
-#[derive(Debug)]
+/// One shard's circuit breaker, closed when made.
+#[derive(Debug, Default)]
 pub struct Breaker {
-    cfg: BreakerConfig,
     inner: Mutex<Inner>,
 }
 
@@ -107,19 +93,6 @@ pub struct BreakerSnapshot {
 }
 
 impl Breaker {
-    /// A closed breaker with the given knobs.
-    pub fn new(cfg: BreakerConfig) -> Breaker {
-        Breaker {
-            cfg,
-            inner: Mutex::new(Inner {
-                state: State::Closed,
-                window: VecDeque::new(),
-                latencies: VecDeque::new(),
-                opened_total: 0,
-            }),
-        }
-    }
-
     /// One routing decision for this shard. Closed breakers always allow
     /// and mutate nothing, so the no-fault path is untouched.
     pub fn decide(&self) -> BreakerDecision {
@@ -128,7 +101,7 @@ impl Breaker {
             State::Closed => BreakerDecision::Allow,
             State::HalfOpen => BreakerDecision::Skip,
             State::Open { bypassed } => {
-                if bypassed + 1 >= self.cfg.probe_after {
+                if bypassed + 1 >= PROBE_AFTER {
                     inner.state = State::HalfOpen;
                     BreakerDecision::Probe
                 } else {
@@ -147,7 +120,7 @@ impl Breaker {
     /// Returns `true` when this outcome transitioned the breaker
     /// (closed → open, or resolved a probe).
     pub fn record(&self, was_probe: bool, failed: bool, elapsed_ms: u64) -> bool {
-        let failed = failed || elapsed_ms > self.cfg.slow_ms;
+        let failed = failed || elapsed_ms > SLOW_MS;
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         if was_probe {
             // Resolve the half-open probe. (If the breaker was somehow
@@ -166,13 +139,13 @@ impl Breaker {
         }
         inner.window.push_back(failed);
         inner.latencies.push_back(elapsed_ms);
-        while inner.window.len() > self.cfg.window {
+        while inner.window.len() > WINDOW {
             inner.window.pop_front();
             inner.latencies.pop_front();
         }
-        if inner.state == State::Closed && inner.window.len() >= self.cfg.min_samples {
+        if inner.state == State::Closed && inner.window.len() >= MIN_SAMPLES {
             let failures = inner.window.iter().filter(|f| **f).count();
-            if failures as f64 / inner.window.len() as f64 >= self.cfg.failure_threshold {
+            if failures as f64 / inner.window.len() as f64 >= FAILURE_THRESHOLD {
                 inner.state = State::Open { bypassed: 0 };
                 inner.opened_total += 1;
                 return true;
@@ -218,19 +191,9 @@ impl Breaker {
 mod tests {
     use super::*;
 
-    fn breaker() -> Breaker {
-        Breaker::new(BreakerConfig {
-            window: 8,
-            failure_threshold: 0.5,
-            min_samples: 4,
-            probe_after: 3,
-            slow_ms: 1_000,
-        })
-    }
-
     #[test]
     fn closed_breaker_always_allows_and_stays_inert() {
-        let b = breaker();
+        let b = Breaker::default();
         for _ in 0..100 {
             assert_eq!(b.decide(), BreakerDecision::Allow);
         }
@@ -243,22 +206,27 @@ mod tests {
         assert_eq!(b.snapshot().opened_total, 0);
     }
 
+    /// `PROBE_AFTER - 1` skips, then the decision that probes.
+    fn assert_probes_after_the_bypass_budget(b: &Breaker) {
+        for _ in 1..PROBE_AFTER {
+            assert_eq!(b.decide(), BreakerDecision::Skip);
+        }
+        assert_eq!(b.decide(), BreakerDecision::Probe);
+    }
+
     #[test]
     fn sustained_failures_open_then_probe_then_close() {
-        let b = breaker();
-        // Three failures: below min_samples, still closed.
-        for _ in 0..3 {
+        let b = Breaker::default();
+        // Failures below MIN_SAMPLES: still closed.
+        for _ in 1..MIN_SAMPLES {
             assert!(!b.record(false, true, 5));
         }
         assert!(!b.is_open());
-        // The fourth crosses min_samples at 100% failure → open.
+        // The next one reaches MIN_SAMPLES at 100% failure → open.
         assert!(b.record(false, true, 5));
         assert!(b.is_open());
         assert_eq!(b.snapshot().state, "open");
-        // probe_after = 3: two skips, then the third decision probes.
-        assert_eq!(b.decide(), BreakerDecision::Skip);
-        assert_eq!(b.decide(), BreakerDecision::Skip);
-        assert_eq!(b.decide(), BreakerDecision::Probe);
+        assert_probes_after_the_bypass_budget(&b);
         // While the probe is in flight, everything else skips.
         assert_eq!(b.decide(), BreakerDecision::Skip);
         assert_eq!(b.snapshot().state, "half-open");
@@ -271,45 +239,48 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let b = breaker();
-        for _ in 0..4 {
+        let b = Breaker::default();
+        for _ in 0..MIN_SAMPLES {
             b.record(false, true, 5);
         }
         // An open breaker probes within its bypass budget; a bounded loop
         // turns a breaker that never probes into a failure, not a hang.
-        let probed = (0..=b.cfg.probe_after).any(|_| b.decide() == BreakerDecision::Probe);
+        let probed = (0..=PROBE_AFTER).any(|_| b.decide() == BreakerDecision::Probe);
         assert!(probed, "no probe within the bypass budget");
         assert!(b.record(true, true, 5));
         assert_eq!(b.snapshot().state, "open");
         assert_eq!(b.snapshot().opened_total, 2);
         // And it earns another probe after the bypass budget again.
-        assert_eq!(b.decide(), BreakerDecision::Skip);
-        assert_eq!(b.decide(), BreakerDecision::Skip);
-        assert_eq!(b.decide(), BreakerDecision::Probe);
+        assert_probes_after_the_bypass_budget(&b);
     }
 
     #[test]
     fn slow_attempts_count_as_failures() {
-        let b = breaker();
-        // 200 OK but slower than the 1 s ceiling, four times → open.
-        for _ in 0..3 {
-            assert!(!b.record(false, false, 5_000));
+        let b = Breaker::default();
+        // A 200 OK at exactly the ceiling is still a success.
+        for _ in 0..WINDOW {
+            assert!(!b.record(false, false, SLOW_MS));
         }
-        assert!(b.record(false, false, 5_000));
+        assert_eq!(b.snapshot().failure_rate, 0.0);
+        // Slower than the ceiling, until half the window is slow → open.
+        for _ in 1..WINDOW / 2 {
+            assert!(!b.record(false, false, SLOW_MS + 1));
+        }
+        assert!(b.record(false, false, SLOW_MS + 1));
         assert!(b.is_open());
     }
 
     #[test]
     fn mixed_window_respects_the_threshold() {
-        let b = breaker();
-        // 2 failures in 8 outcomes = 25% < 50%: stays closed at every
-        // point of the window's growth.
-        for i in 0..8 {
+        let b = Breaker::default();
+        // 1 failure in 4 outcomes = 25% < 50%: stays closed at every
+        // point of the window's growth and once it rolls.
+        for i in 0..2 * WINDOW {
             assert!(!b.record(false, i % 4 == 0, 5));
         }
         assert!(!b.is_open());
         let snap = b.snapshot();
-        assert!((snap.failure_rate - 2.0 / 8.0).abs() < 1e-12);
+        assert!((snap.failure_rate - 0.25).abs() < 1e-12);
         assert!(snap.mean_ms > 0.0);
     }
 }

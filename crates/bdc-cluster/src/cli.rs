@@ -3,10 +3,13 @@
 //!
 //! ```text
 //! bdc cluster [--shards N] [--addr HOST:PORT] [--base-port P]
-//!             [--ring-seed S] [--vnodes V] [--proxy-retries R]
-//!             [--serve-bin PATH] [--cache-root DIR] [--pid-file PATH]
+//!             [--ring-seed S] [--serve-bin PATH] [--cache-root DIR]
+//!             [--pid-file PATH]
 //!             [--queue-cap N] [--deadline-ms MS] [--max-retries N] [--warm]
 //! ```
+//!
+//! Every shard gets `DEFAULT_VNODES` (128) ring points, and the router
+//! retries a failed proxy hop on up to 3 more shards.
 //!
 //! The last row of flags is passed through verbatim to every worker, so a
 //! fleet can be tuned exactly like a single `bdc_serve` daemon; `--warm`
@@ -31,10 +34,6 @@ pub struct ClusterArgs {
     pub base_port: u16,
     /// Fleet ring seed.
     pub ring_seed: u64,
-    /// Virtual nodes per shard.
-    pub vnodes: usize,
-    /// Router failover budget.
-    pub proxy_retries: u32,
     /// Worker binary; `None` means "sibling `bdc_serve` of this binary".
     pub serve_bin: Option<PathBuf>,
     /// Per-shard cache directories live under here.
@@ -52,8 +51,6 @@ impl Default for ClusterArgs {
             addr: "127.0.0.1:8800".into(),
             base_port: 8810,
             ring_seed: 42,
-            vnodes: bdc_exec::cluster::DEFAULT_VNODES,
-            proxy_retries: 3,
             serve_bin: None,
             cache_root: PathBuf::from("results/cluster"),
             pid_file: PathBuf::from("results/cluster_pids.json"),
@@ -104,20 +101,6 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, String> {
                 out.ring_seed = v
                     .parse::<u64>()
                     .map_err(|_| format!("--ring-seed must be a u64 (got {v:?})"))?;
-            }
-            "--vnodes" => {
-                let v = value("--vnodes")?;
-                out.vnodes = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--vnodes must be >= 1 (got {v:?})"))?;
-            }
-            "--proxy-retries" => {
-                let v = value("--proxy-retries")?;
-                out.proxy_retries = v
-                    .parse::<u32>()
-                    .map_err(|_| format!("--proxy-retries must be a u32 (got {v:?})"))?;
             }
             "--serve-bin" => out.serve_bin = Some(PathBuf::from(value("--serve-bin")?)),
             "--cache-root" => out.cache_root = PathBuf::from(value("--cache-root")?),
@@ -206,9 +189,6 @@ pub fn run_cluster(args: &ClusterArgs) -> i32 {
         addr: args.addr.clone(),
         shard_addrs: supervisor.shard_addrs(),
         ring_seed: args.ring_seed,
-        vnodes: args.vnodes,
-        proxy_retries: args.proxy_retries,
-        ..RouterConfig::default()
     };
     let router = match start_router(router_cfg) {
         Ok(r) => r,
@@ -286,5 +266,13 @@ mod tests {
             ["--max-retries", "0"]
         );
         assert!(parse(&["--max-retries", "x"]).is_err());
+    }
+
+    #[test]
+    fn ring_and_failover_settings_are_not_flags() {
+        for args in [["--vnodes", "64"], ["--proxy-retries", "1"]] {
+            let err = parse(&args).expect_err(args[0]);
+            assert!(err.contains("unknown flag"), "{err}");
+        }
     }
 }

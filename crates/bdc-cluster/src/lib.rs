@@ -8,7 +8,7 @@
 //!   [`cluster`]): a seeded consistent-hash ring with virtual nodes maps
 //!   every experiment cache key and artifact address to an owning shard.
 //!   Router and workers build the identical ring from
-//!   (`shards`, `ring_seed`, `vnodes`), so "who owns what" is a pure
+//!   (`shards`, `ring_seed`, `DEFAULT_VNODES`), so "who owns what" is a pure
 //!   function the whole fleet agrees on with zero coordination traffic.
 //! * **The router** ([`router`]): proxies each request to the slot owner,
 //!   fails over along the ring on transport errors and retryable statuses
@@ -36,7 +36,7 @@ pub mod supervisor;
 /// The shared ring/topology types (re-export of [`bdc_exec::cluster`]).
 pub use bdc_exec::cluster;
 
-pub use breaker::{Breaker, BreakerConfig, BreakerDecision, BreakerSnapshot};
+pub use breaker::{Breaker, BreakerDecision, BreakerSnapshot};
 pub use cli::{parse_cluster_args, run_cluster, ClusterArgs};
 pub use router::{start_router, RouterConfig, RouterHandle, RouterMetrics};
 pub use supervisor::{start_supervisor, Supervisor, SupervisorConfig};

@@ -11,10 +11,10 @@
 //!
 //! **Failover:** a proxied request that dies in transport or comes back
 //! retryable (429/500/503/504) is re-sent to the next distinct shard in
-//! ring order ([`Ring::replicas`]) after a seeded backoff, up to a bounded
-//! number of attempts; only when every attempt is spent does the client
-//! see a `502`. Because any shard serves byte-identical bodies, failover
-//! is invisible except for the `x-bdc-shard` header.
+//! ring order ([`Ring::replicas`]) after a seeded backoff, up to
+//! `PROXY_RETRIES` extra attempts; only when every attempt is spent
+//! does the client see a `502`. Because any shard serves byte-identical
+//! bodies, failover is invisible except for the `x-bdc-shard` header.
 //!
 //! **Circuit breakers:** each shard carries a [`Breaker`] over a rolling
 //! window of attempt outcomes and latencies. An open breaker takes its
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bdc_exec::cluster::{artifact_slot, key_slot, Ring};
+use bdc_exec::cluster::{artifact_slot, key_slot, Ring, DEFAULT_VNODES};
 use bdc_exec::faults;
 use bdc_exec::json::{self, Json};
 use bdc_serve::api::{self, Route};
@@ -41,7 +41,7 @@ use bdc_serve::client::{self, Connection};
 use bdc_serve::server::{AcceptLoop, Service};
 use bdc_serve::{http, Response};
 
-use crate::breaker::{Breaker, BreakerConfig, BreakerDecision};
+use crate::breaker::{Breaker, BreakerDecision};
 
 /// Per-attempt connect/read deadline for proxied requests. Generous
 /// enough for a cold characterization on the shard (seconds), small
@@ -52,7 +52,10 @@ const PROXY_TIMEOUT: Duration = Duration::from_secs(60);
 /// `/v1/metrics`): a down shard must not stall the fleet view.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Router tuning knobs.
+/// Extra proxy attempts after the first (the failover budget).
+const PROXY_RETRIES: usize = 3;
+
+/// Router settings.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Bind address (port 0 picks an ephemeral port).
@@ -61,16 +64,6 @@ pub struct RouterConfig {
     pub shard_addrs: Vec<String>,
     /// Ring seed — must match the fleet's `BDC_RING_SEED`.
     pub ring_seed: u64,
-    /// Virtual nodes per shard.
-    pub vnodes: usize,
-    /// Extra proxy attempts after the first (failover budget).
-    pub proxy_retries: u32,
-    /// Connection-worker threads.
-    pub conn_threads: usize,
-    /// Accepted sockets that may wait for a worker before shedding.
-    pub conn_backlog: usize,
-    /// Per-shard circuit-breaker knobs.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for RouterConfig {
@@ -79,11 +72,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".into(),
             shard_addrs: Vec::new(),
             ring_seed: 0,
-            vnodes: bdc_exec::cluster::DEFAULT_VNODES,
-            proxy_retries: 3,
-            conn_threads: 8,
-            conn_backlog: 64,
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -157,9 +145,9 @@ pub fn start_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
     }
     let listener = TcpListener::bind(&cfg.addr)?;
 
-    let ring = Ring::new(cfg.shard_addrs.len(), cfg.vnodes, cfg.ring_seed);
+    let ring = Ring::new(cfg.shard_addrs.len(), DEFAULT_VNODES, cfg.ring_seed);
     let breakers = (0..cfg.shard_addrs.len())
-        .map(|_| Breaker::new(cfg.breaker.clone()))
+        .map(|_| Breaker::default())
         .collect();
     let shared = Arc::new(Shared {
         cfg,
@@ -170,8 +158,6 @@ pub fn start_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
     let accept = AcceptLoop::spawn(
         listener,
         "bdc-router",
-        (shared.cfg.conn_threads, shared.cfg.conn_backlog),
-        (Duration::from_secs(30), Duration::from_secs(30)),
         "router saturated; retry",
         Arc::clone(&shared),
     )?;
@@ -244,9 +230,8 @@ fn proxy(request: &http::Request, shared: &Shared, slot: u64) -> Response {
     };
     shared.metrics.proxied.fetch_add(1, Ordering::Relaxed);
     let replicas = shared.ring.replicas(slot);
-    let attempts = shared.cfg.proxy_retries as usize + 1;
     let mut last_status = None;
-    for attempt in 0..attempts {
+    for attempt in 0..=PROXY_RETRIES {
         if attempt > 0 {
             shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(faults::backoff_delay(&path_query, attempt as u64));
@@ -511,7 +496,7 @@ fn topology(shared: &Shared) -> Response {
             Json::Int(shared.cfg.shard_addrs.len() as i64),
         ),
         ("ring_seed".into(), Json::Int(shared.cfg.ring_seed as i64)),
-        ("vnodes".into(), Json::Int(shared.cfg.vnodes as i64)),
+        ("vnodes".into(), Json::Int(DEFAULT_VNODES as i64)),
         (
             "members".into(),
             Json::Arr(

@@ -448,7 +448,15 @@ mod tests {
             .stdin(Stdio::null())
             .spawn()
             .expect("spawn sleep");
-        let path = pid_file("recycled", &[u64::from(child.id())]);
+        // Until the child has exec'd, its cmdline can still read this test
+        // binary's name (`bdc_cluster-<hash>`), which is a live bdc process.
+        let pid = u64::from(child.id());
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while live_process_command(pid).as_deref() != Some("sleep") {
+            assert!(Instant::now() < deadline, "child never showed as `sleep`");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let path = pid_file("recycled", &[pid]);
         assert!(check_stale_pid_file(&path).is_ok());
         let _ = child.kill();
         let _ = child.wait();

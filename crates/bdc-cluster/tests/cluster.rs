@@ -13,14 +13,13 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use bdc_cluster::cluster::{artifact_slot, Ring};
+use bdc_cluster::cluster::{artifact_slot, Ring, DEFAULT_VNODES};
 use bdc_cluster::router::{start_router, RouterConfig};
 use bdc_exec::json::{self, Json};
 use bdc_serve::client::Connection;
 use bdc_serve::{EngineConfig, ServeConfig};
 
 const RING_SEED: u64 = 42;
-const VNODES: usize = 64;
 
 /// Boots `n` in-process shard servers and a router over them. Returns
 /// (shard handles, shard addrs, router handle, router addr).
@@ -37,10 +36,8 @@ fn boot_fleet(
     for shard in 0..n {
         let cfg = ServeConfig {
             addr: "127.0.0.1:0".into(),
-            conn_threads: 4,
             engine: EngineConfig {
                 queue_cap: 16,
-                max_batch: 8,
                 ..EngineConfig::default()
             },
             shard: Some(shard),
@@ -54,9 +51,6 @@ fn boot_fleet(
         addr: "127.0.0.1:0".into(),
         shard_addrs: addrs.clone(),
         ring_seed: RING_SEED,
-        vnodes: VNODES,
-        proxy_retries: 3,
-        ..RouterConfig::default()
     })
     .expect("bind router");
     let router_addr = format!("127.0.0.1:{}", router.port());
@@ -66,10 +60,8 @@ fn boot_fleet(
 fn boot_standalone() -> (bdc_serve::ServerHandle, String) {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        conn_threads: 4,
         engine: EngineConfig {
             queue_cap: 16,
-            max_batch: 8,
             ..EngineConfig::default()
         },
         ..ServeConfig::default()
@@ -370,7 +362,7 @@ fn peer_artifact_protocol_round_trips_through_the_router() {
         .to_string();
     assert_eq!(
         owner,
-        Ring::new(3, VNODES, RING_SEED)
+        Ring::new(3, DEFAULT_VNODES, RING_SEED)
             .owner(artifact_slot(name, key))
             .to_string(),
         "peer routes must land on the ring owner"
@@ -431,7 +423,6 @@ fn idle_router_and_shard_shut_down_promptly() {
     for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
         let shard = bdc_serve::start(ServeConfig {
             addr: bind.into(),
-            conn_threads: 2,
             shard: Some(0),
             ..ServeConfig::default()
         })
@@ -439,7 +430,6 @@ fn idle_router_and_shard_shut_down_promptly() {
         let router = start_router(RouterConfig {
             addr: bind.into(),
             shard_addrs: vec![format!("127.0.0.1:{}", shard.port())],
-            conn_threads: 2,
             ..RouterConfig::default()
         })
         .expect("bind router");
@@ -469,7 +459,6 @@ fn an_idle_keep_alive_client_does_not_hold_up_shutdown() {
     // must end that read instead of waiting out the read timeout.
     let shard = bdc_serve::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        conn_threads: 2,
         shard: Some(0),
         ..ServeConfig::default()
     })
@@ -478,7 +467,6 @@ fn an_idle_keep_alive_client_does_not_hold_up_shutdown() {
     let router = start_router(RouterConfig {
         addr: "127.0.0.1:0".into(),
         shard_addrs: vec![shard_addr.clone()],
-        conn_threads: 2,
         ..RouterConfig::default()
     })
     .expect("bind router");

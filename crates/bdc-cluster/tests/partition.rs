@@ -15,7 +15,6 @@ fn injected_partitions_are_absorbed_by_failover() {
         .map(|shard| {
             bdc_serve::start(ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                conn_threads: 2,
                 shard: Some(shard),
                 ..ServeConfig::default()
             })
@@ -28,7 +27,6 @@ fn injected_partitions_are_absorbed_by_failover() {
             .map(|h| format!("127.0.0.1:{}", h.port()))
             .collect(),
         ring_seed: 42,
-        proxy_retries: 3,
         ..RouterConfig::default()
     })
     .expect("bind router");

@@ -5,8 +5,9 @@
 //! seed)` (every process derives the same topology), and removing a shard
 //! moves only that shard's keys (failover does not reshuffle the fleet).
 
+use bdc_cluster::breaker::MIN_SAMPLES;
 use bdc_cluster::cluster::{key_slot, Ring, DEFAULT_VNODES};
-use bdc_cluster::{Breaker, BreakerConfig, BreakerDecision};
+use bdc_cluster::{Breaker, BreakerDecision};
 use proptest::prelude::*;
 
 /// How many synthetic keys each property samples the ring with.
@@ -119,11 +120,10 @@ proptest! {
     ) {
         let open: Vec<bool> = (0..shards).map(|s| (open_mask >> s) & 1 == 1).collect();
         prop_assume!(open.iter().any(|o| !o));
-        let cfg = BreakerConfig::default();
-        let breakers: Vec<Breaker> = (0..shards).map(|_| Breaker::new(cfg.clone())).collect();
+        let breakers: Vec<Breaker> = (0..shards).map(|_| Breaker::default()).collect();
         for (s, is_open) in open.iter().enumerate() {
             if *is_open {
-                for _ in 0..cfg.min_samples {
+                for _ in 0..MIN_SAMPLES {
                     breakers[s].record(false, true, 0);
                 }
                 prop_assert!(breakers[s].is_open(), "shard {s} failed to open");

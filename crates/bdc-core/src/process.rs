@@ -36,8 +36,8 @@ pub struct TechKit {
     pub lib: CellLibrary,
     /// STA settings (placement model).
     pub sta: StaConfig,
-    /// Pipelining defaults (feedback-wire model, skew, driver sizing) —
-    /// calibrated once against the paper's Figure 12/15 silicon shape.
+    /// Pipelining settings (feedback-wire model, skew, driver sizing):
+    /// [`PipelineOptions::with_stages`].
     pub pipe: PipelineOptions,
 }
 
@@ -59,13 +59,7 @@ impl TechKit {
             process,
             lib,
             sta: StaConfig::default(),
-            pipe: PipelineOptions {
-                stages: 1,
-                skew_fraction: 0.5,
-                feedback_base: 0.5,
-                feedback_per_stage: 0.6,
-                driver_upsize: 8.0,
-            },
+            pipe: PipelineOptions::with_stages(1),
         }
     }
 

@@ -1,7 +1,7 @@
-//! Transfer and output curve generation.
+//! Transfer curve generation.
 //!
-//! These helpers produce the `I_D–V_GS` and `I_D–V_DS` sweeps plotted in the
-//! paper's Figures 3 and 4, and feed the parameter-extraction routines in
+//! [`transfer_curve`] produces the `I_D–V_GS` sweeps plotted in the paper's
+//! Figures 3 and 4 and feeds the parameter-extraction routines in
 //! [`crate::extract`].
 
 use crate::model::DeviceModel;
@@ -40,27 +40,6 @@ pub fn transfer_curve(
         .collect()
 }
 
-/// Sweeps `V_DS` at fixed `V_GS`, returning `(vds, |id|)` pairs.
-///
-/// # Panics
-/// Panics if `n < 2`.
-pub fn output_curve(
-    model: &dyn DeviceModel,
-    vgs: f64,
-    vds_start: f64,
-    vds_stop: f64,
-    n: usize,
-) -> Vec<(f64, f64)> {
-    assert!(n >= 2, "a sweep needs at least two points");
-    (0..n)
-        .map(|i| {
-            let t = i as f64 / (n - 1) as f64;
-            let vds = vds_start + t * (vds_stop - vds_start);
-            (vds, model.ids(vgs, vds).abs())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,9 +59,11 @@ mod tests {
     #[test]
     fn output_curve_monotone_for_on_device() {
         let m = Level61Model::new(TftParams::pentacene());
-        let c = output_curve(&m, -10.0, 0.0, -10.0, 21);
+        let c: Vec<f64> = (0..21)
+            .map(|i| m.ids(-10.0, -10.0 * i as f64 / 20.0).abs())
+            .collect();
         for w in c.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1e-15);
+            assert!(w[1] >= w[0] - 1e-15);
         }
     }
 }

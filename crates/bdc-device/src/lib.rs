@@ -45,7 +45,7 @@ pub mod params;
 pub mod silicon;
 pub mod variation;
 
-pub use curves::{output_curve, transfer_curve, TransferPoint};
+pub use curves::{transfer_curve, TransferPoint};
 pub use extract::{extract_metrics, fit_level1, fit_level61, DeviceMetrics, FitError, FitReport};
 pub use level1::Level1Model;
 pub use level61::Level61Model;

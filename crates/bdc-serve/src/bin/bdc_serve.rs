@@ -1,8 +1,7 @@
 //! The `bdc_serve` daemon binary.
 //!
 //! ```text
-//! bdc_serve [--addr HOST:PORT] [--conn-threads N] [--queue-cap N]
-//!           [--max-batch N] [--cache-cap N] [--warm organic,silicon]
+//! bdc_serve [--addr HOST:PORT] [--queue-cap N] [--warm organic,silicon]
 //!           [--deadline-ms N] [--max-retries N]
 //! ```
 //!
@@ -23,8 +22,7 @@ use bdc_serve::ServeConfig;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bdc_serve [--addr HOST:PORT] [--conn-threads N] [--queue-cap N] \
-         [--max-batch N] [--cache-cap N] [--warm organic,silicon] \
+        "usage: bdc_serve [--addr HOST:PORT] [--queue-cap N] [--warm organic,silicon] \
          [--deadline-ms N] [--max-retries N]"
     );
     std::process::exit(2)
@@ -42,10 +40,7 @@ fn parse_args() -> ServeConfig {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = value("host:port"),
-            "--conn-threads" => cfg.conn_threads = parse_num(&flag, &value("count")),
             "--queue-cap" => cfg.engine.queue_cap = parse_positive(&flag, &value("count")),
-            "--max-batch" => cfg.engine.max_batch = parse_num(&flag, &value("count")).max(1),
-            "--cache-cap" => cfg.engine.cache_cap = parse_num(&flag, &value("count")),
             "--deadline-ms" => {
                 cfg.engine.wait_timeout = std::time::Duration::from_millis(parse_positive(
                     &flag,

@@ -36,16 +36,18 @@ use std::time::Duration;
 use crate::http::Response;
 use crate::metrics::Registry;
 
-/// Engine tuning knobs.
+/// Most jobs drained into one `par_map` batch.
+const MAX_BATCH: usize = 16;
+
+/// Most entries the response cache holds (FIFO eviction).
+const CACHE_CAP: usize = 4096;
+
+/// Engine settings.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Most jobs admitted to the queue at once; beyond this, submissions
     /// are shed with 429.
     pub queue_cap: usize,
-    /// Most jobs drained into one `par_map` batch.
-    pub max_batch: usize,
-    /// Most entries the response cache holds (FIFO eviction).
-    pub cache_cap: usize,
     /// Per-request compute deadline: how long a submitter waits for its
     /// flight before giving up (503 + `Retry-After`).
     pub wait_timeout: Duration,
@@ -58,8 +60,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             queue_cap: 64,
-            max_batch: 16,
-            cache_cap: 4096,
             wait_timeout: Duration::from_secs(300),
             max_retries: 2,
         }
@@ -226,7 +226,7 @@ impl<J: Send + Sync + 'static> Engine<J> {
     }
 
     /// Runs the batching loop until [`Engine::shutdown`]: drain up to
-    /// `max_batch` queued jobs, execute them as one index-ordered
+    /// `MAX_BATCH` queued jobs, execute them as one index-ordered
     /// [`bdc_exec::par_map`] fan-out, publish each result to its flight
     /// and the response cache. Call from a dedicated thread.
     pub fn run(&self, execute: impl Fn(&J) -> Response + Sync) {
@@ -239,7 +239,7 @@ impl<J: Send + Sync + 'static> Engine<J> {
                 if st.queue.is_empty() && st.shutdown {
                     return;
                 }
-                let n = st.queue.len().min(self.cfg.max_batch);
+                let n = st.queue.len().min(MAX_BATCH);
                 st.queue.drain(..n).collect()
             };
             self.metrics.batches.fetch_add(1, Ordering::Relaxed);
@@ -282,7 +282,7 @@ impl<J: Send + Sync + 'static> Engine<J> {
                 // future retry the same stale failure. 2xx/4xx are pure
                 // functions of the job and cache safely.
                 if response.status < 500 {
-                    if st.cache.len() >= self.cfg.cache_cap {
+                    if st.cache.len() >= CACHE_CAP {
                         if let Some(old) = st.cache_order.pop_front() {
                             st.cache.remove(&old);
                         }
@@ -312,7 +312,7 @@ impl<J: Send + Sync + 'static> Engine<J> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Barrier;
+    use std::sync::{Barrier, RwLock};
 
     fn engine(cfg: EngineConfig) -> Arc<Engine<u64>> {
         Engine::new(cfg, Arc::new(Registry::default()))
@@ -393,17 +393,18 @@ mod tests {
     fn full_queue_sheds_deterministically() {
         let cfg = EngineConfig {
             queue_cap: 2,
-            max_batch: 1,
             ..EngineConfig::default()
         };
         let e = engine(cfg);
-        let gate = Arc::new(Barrier::new(2));
+        // The executor blocks while the test holds the write lock.
+        let gate = Arc::new(RwLock::new(()));
+        let held = gate.write().unwrap();
         let g = Arc::clone(&gate);
         let runner = spawn_runner(&e, move |j| {
-            g.wait();
+            drop(g.read().unwrap_or_else(|p| p.into_inner()));
             body(j)
         });
-        // Job 1 is picked up by the runner and blocks on the barrier; only
+        // Job 1 is picked up by the runner and blocks on the gate; only
         // then do jobs 2 and 3 fill the queue, so job 4 must shed.
         let e1 = Arc::clone(&e);
         let mut waiters = vec![std::thread::spawn(move || e1.submit(1, 1))];
@@ -419,10 +420,8 @@ mod tests {
         }
         assert!(matches!(e.submit(4, 4), Submission::Shed));
         assert_eq!(e.metrics().queue_shed.load(Ordering::Relaxed), 1);
-        // Release all batches (runner blocks once per 1-job batch).
-        for _ in 0..3 {
-            gate.wait();
-        }
+        // Release every batch, however the runner grouped the jobs.
+        drop(held);
         for w in waiters {
             assert!(matches!(w.join().unwrap(), Submission::Done(_)));
         }
@@ -432,17 +431,15 @@ mod tests {
 
     #[test]
     fn cache_is_fifo_bounded() {
-        let cfg = EngineConfig {
-            cache_cap: 2,
-            ..EngineConfig::default()
-        };
-        let e = engine(cfg);
+        let e = engine(EngineConfig::default());
         let runner = spawn_runner(&e, body);
-        for key in 0..5u64 {
+        let newest = CACHE_CAP as u64;
+        for key in 0..=newest {
             assert!(matches!(e.submit(key, key), Submission::Done(_)));
         }
-        // Only the two newest keys remain cached.
-        assert!(matches!(e.submit(4, 4), Submission::CacheHit(_)));
+        // One key past the bound evicts only the oldest.
+        assert!(matches!(e.submit(1, 1), Submission::CacheHit(_)));
+        assert!(matches!(e.submit(newest, newest), Submission::CacheHit(_)));
         assert!(matches!(e.submit(0, 0), Submission::Done(_)));
         e.shutdown();
         runner.join().unwrap();

@@ -42,27 +42,29 @@ use crate::engine::{Engine, EngineConfig, Submission};
 use crate::http::{self, Response};
 use crate::metrics::{Endpoint, Registry};
 
-/// Server tuning knobs.
+/// Connection-worker threads per [`AcceptLoop`].
+const CONN_THREADS: usize = 8;
+
+/// Accepted sockets that may wait for a worker before the acceptor sheds
+/// new connections with 429.
+const CONN_BACKLOG: usize = 64;
+
+/// Per-connection socket read and write timeout. The write side matters
+/// too: a stalled client that stops draining its receive window could
+/// otherwise pin a worker forever.
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Server settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8731`; port 0 picks an ephemeral
     /// port (reported by [`ServerHandle::port`]).
     pub addr: String,
-    /// Connection-worker threads.
-    pub conn_threads: usize,
-    /// Accepted sockets that may wait for a worker before the acceptor
-    /// sheds new connections with 429.
-    pub conn_backlog: usize,
-    /// Engine knobs (queue bound, batch size, response-cache bound).
+    /// Engine settings (queue bound, compute deadline, retries).
     pub engine: EngineConfig,
     /// Processes whose libraries are characterized before the listener
     /// starts accepting (cold-start avoidance).
     pub warm: Vec<Process>,
-    /// Per-connection socket read timeout.
-    pub read_timeout: Duration,
-    /// Per-connection socket write timeout — a stalled client that stops
-    /// draining its receive window can otherwise pin a worker forever.
-    pub write_timeout: Duration,
     /// Shard identity in a `bdc-cluster` fleet: when set, every response
     /// carries an `x-bdc-shard: N` header so clients and the byte-identity
     /// tests can see which worker answered. `None` for a standalone
@@ -75,12 +77,8 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:8731".into(),
-            conn_threads: 8,
-            conn_backlog: 64,
             engine: EngineConfig::default(),
             warm: Vec::new(),
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
             shard: None,
         }
     }
@@ -235,8 +233,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let accept = AcceptLoop::spawn(
         listener,
         "bdc-serve",
-        (cfg.conn_threads, cfg.conn_backlog),
-        (cfg.read_timeout, cfg.write_timeout),
         "server saturated; retry",
         Arc::new(service),
     )?;
@@ -322,18 +318,16 @@ pub struct AcceptLoop {
 type OpenConns = Mutex<Vec<Option<TcpStream>>>;
 
 impl AcceptLoop {
-    /// Spawns `{name}-accept` and `workers` threads `{name}-conn-{i}` on
-    /// `listener`. Up to `backlog` accepted sockets wait for a worker;
-    /// past that the acceptor answers `429` with `shed_body` and closes.
-    /// Each connection gets the (read, write) socket `timeouts`.
+    /// Spawns `{name}-accept` and `CONN_THREADS` threads
+    /// `{name}-conn-{i}` on `listener`. Up to `CONN_BACKLOG` accepted
+    /// sockets wait for a worker; past that the acceptor answers `429`
+    /// with `shed_body` and closes.
     ///
     /// # Errors
     /// Propagates `local_addr` and thread-spawn failures.
     pub fn spawn(
         listener: TcpListener,
         name: &str,
-        (workers, backlog): (usize, usize),
-        timeouts: (Duration, Duration),
         shed_body: &'static str,
         service: Arc<impl Service>,
     ) -> std::io::Result<AcceptLoop> {
@@ -346,18 +340,17 @@ impl AcceptLoop {
             wake.set_ip(loopback);
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let workers = workers.max(1);
-        let open = Arc::new(Mutex::new((0..workers).map(|_| None).collect()));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(backlog);
+        let open = Arc::new(Mutex::new((0..CONN_THREADS).map(|_| None).collect()));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(CONN_BACKLOG);
         let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();
-        for i in 0..workers {
+        for i in 0..CONN_THREADS {
             let (rx, service) = (Arc::clone(&rx), Arc::clone(&service));
             let (stop, open) = (Arc::clone(&stop), Arc::clone(&open));
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-conn-{i}"))
-                    .spawn(move || conn_worker(i, &rx, &*service, &stop, &open, timeouts))?,
+                    .spawn(move || conn_worker(i, &rx, &*service, &stop, &open))?,
             );
         }
         let acceptor_stop = Arc::clone(&stop);
@@ -451,7 +444,6 @@ fn conn_worker(
     service: &dyn Service,
     stop: &AtomicBool,
     open: &OpenConns,
-    timeouts: (Duration, Duration),
 ) {
     loop {
         // The guard drops at the end of this statement, so other workers
@@ -469,20 +461,15 @@ fn conn_worker(
             }
             open[slot] = Some(handle);
         }
-        serve_connection(stream, service, stop, timeouts);
+        serve_connection(stream, service, stop);
         lock(open)[slot] = None;
     }
 }
 
 /// Serves one keep-alive connection until close, error, or shutdown.
-fn serve_connection(
-    stream: TcpStream,
-    service: &dyn Service,
-    stop: &AtomicBool,
-    (read_timeout, write_timeout): (Duration, Duration),
-) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(write_timeout));
+fn serve_connection(stream: TcpStream, service: &dyn Service, stop: &AtomicBool) {
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,

@@ -1,5 +1,6 @@
 //! `bdc_serve` flag validation as an operator sees it: a value that would
-//! stop all serving exits with status 2 before the daemon binds.
+//! stop all serving, or a flag the daemon does not have, exits with
+//! status 2 before the daemon binds.
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -48,6 +49,15 @@ fn zero_deadline_exits_2() {
         stderr.contains("--deadline-ms must be a positive integer"),
         "{stderr}"
     );
+}
+
+#[test]
+fn deleted_tuning_flags_exit_2() {
+    for flag in ["--conn-threads", "--max-batch", "--cache-cap"] {
+        let (code, stderr) = run_serve(&[flag, "4"]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
 }
 
 /// SIGTERM with an idle keep-alive client connected: the daemon drains and

@@ -17,10 +17,8 @@ fn boot() -> (bdc_serve::ServerHandle, String) {
 fn boot_at(bind: &str) -> (bdc_serve::ServerHandle, String) {
     let cfg = ServeConfig {
         addr: bind.into(),
-        conn_threads: 4,
         engine: EngineConfig {
             queue_cap: 16,
-            max_batch: 8,
             ..EngineConfig::default()
         },
         ..ServeConfig::default()

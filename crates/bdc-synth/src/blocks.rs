@@ -192,46 +192,6 @@ pub fn array_multiplier(width: usize) -> Netlist {
     n
 }
 
-/// Restoring array divider: `width`-bit dividend ÷ `width`-bit divisor →
-/// quotient and remainder. The critical path snakes through every row —
-/// the deepest block in the complex ALU, exactly why the paper pipelines it.
-pub fn restoring_divider(width: usize) -> Netlist {
-    let mut n = Netlist::new(format!("rest_div{width}"));
-    let dividend = n.input_bus("a", width);
-    let divisor = n.input_bus("d", width);
-    let zero = n.const0();
-    let one = n.const1();
-    // Remainder register (width+1 bits to absorb the trial subtract).
-    let mut rem: Vec<NetId> = vec![zero; width + 1];
-    let mut quotient = vec![zero; width];
-    // Negated divisor for subtraction (two's complement add).
-    let ndiv: Vec<NetId> = divisor.iter().map(|d| n.inv(*d)).collect();
-    for step in 0..width {
-        let bit = dividend[width - 1 - step];
-        // Shift left, bring in next dividend bit.
-        let mut shifted = vec![bit];
-        shifted.extend_from_slice(&rem[..width]);
-        // Trial subtract: shifted + ~divisor + 1 over width+1 bits.
-        let mut carry = one;
-        let mut trial = Vec::with_capacity(width + 1);
-        for j in 0..=width {
-            let dj = if j < width { ndiv[j] } else { one };
-            let (s, c) = n.full_adder(shifted[j], dj, carry);
-            trial.push(s);
-            carry = c;
-        }
-        // carry == 1 → no borrow → trial >= 0 → accept subtraction.
-        let accept = carry;
-        quotient[width - 1 - step] = accept;
-        rem = (0..=width)
-            .map(|j| n.mux2(accept, shifted[j], trial[j]))
-            .collect();
-    }
-    n.output_bus(&quotient, "q");
-    n.output_bus(&rem[..width], "r");
-    n
-}
-
 /// One row of a restoring divider: conditional subtract + restore mux over
 /// `width+1` bits. This is the per-cycle logic of a *stallable* sequential
 /// divider (DesignWare-style): the full divide iterates this row, so only
@@ -679,31 +639,6 @@ mod tests {
             u64_to_bus(&mut m, &b_bus, b);
             let v = simulate_comb(&n, &m);
             assert_eq!(bus_to_u64(&v, &p_bus), a * b, "{a}*{b}");
-        }
-    }
-
-    #[test]
-    fn divider_divides() {
-        let n = restoring_divider(8);
-        n.validate().unwrap();
-        let a_bus = bus(&n, "a");
-        let d_bus = bus(&n, "d");
-        let q_bus = bus(&n, "q");
-        let r_bus = bus(&n, "r");
-        for (a, d) in [
-            (100u64, 7u64),
-            (255, 16),
-            (42, 1),
-            (13, 13),
-            (5, 9),
-            (200, 3),
-        ] {
-            let mut m = BTreeMap::new();
-            u64_to_bus(&mut m, &a_bus, a);
-            u64_to_bus(&mut m, &d_bus, d);
-            let v = simulate_comb(&n, &m);
-            assert_eq!(bus_to_u64(&v, &q_bus), a / d, "{a}/{d} quotient");
-            assert_eq!(bus_to_u64(&v, &r_bus), a % d, "{a}%{d} remainder");
         }
     }
 

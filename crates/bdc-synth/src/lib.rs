@@ -26,7 +26,6 @@ pub mod place;
 pub mod power;
 pub mod sta;
 pub mod stats;
-pub mod verilog;
 
 pub use funcsim::{simulate_comb, simulate_seq};
 pub use gate::{Gate, GateKind, NetId, Netlist};
@@ -36,4 +35,3 @@ pub use place::{Placement, PlacementModel};
 pub use power::{energy_per_instruction, estimate_power, PowerReport};
 pub use sta::{analyze, StaConfig, StaReport};
 pub use stats::{coverage_ratio, netlist_stats, NetlistStats};
-pub use verilog::{parse_verilog, write_verilog, VerilogError};

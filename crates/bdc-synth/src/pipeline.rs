@@ -41,14 +41,15 @@ pub struct PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// Defaults calibrated for the paper's experiments.
+    /// The flow's settings at `stages` stages, calibrated once against
+    /// the paper's Figure 12/15 silicon shape.
     pub fn with_stages(stages: usize) -> Self {
         assert!(stages >= 1, "a pipeline needs at least one stage");
         PipelineOptions {
             stages,
             skew_fraction: 0.5,
             feedback_base: 0.5,
-            feedback_per_stage: 0.3,
+            feedback_per_stage: 0.6,
             driver_upsize: 8.0,
         }
     }
